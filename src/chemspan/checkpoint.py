@@ -7,19 +7,18 @@ kind, full config), then a length-prefixed array section of float64 data.
 """
 
 import json
+import math
+import os
 import struct
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import CheckpointError
 
 MAGIC = b"CSPNCKPT"
 FORMAT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 def save_checkpoint(path, kind: str, dim: int, blocks: int, seed: int,
@@ -42,9 +41,14 @@ def save_checkpoint(path, kind: str, dim: int, blocks: int, seed: int,
 
 
 def _read_exact(fh, size, what):
+    # checked first: read(size) allocates size bytes before it sees the end of file
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise CheckpointError(f"{fh.name}: truncated checkpoint: {what} needs "
+                              f"{size} bytes, {left} remain")
     data = fh.read(size)
     if len(data) != size:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+        raise CheckpointError(f"{fh.name}: truncated checkpoint while reading {what}")
     return data
 
 
@@ -58,17 +62,30 @@ def load_checkpoint(path) -> Tuple[str, dict, Tuple[int, int, int], Dict[str, np
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})")
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        meta = json.loads(_read_exact(fh, blob_len, "config").decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(fh, blob_len, "config").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt config blob ({exc})") from None
+        if not (isinstance(meta, dict) and isinstance(meta.get("kind"), str)
+                and isinstance(meta.get("config"), dict)):
+            raise CheckpointError(f"{path}: config blob lacks a 'kind' string "
+                                  "or a 'config' object")
         (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
         params: Dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "array name length"))
-            name = _read_exact(fh, name_len, "array name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "array name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: corrupt array name ({exc})") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "array shape"))
-            count = int(np.prod(shape)) if ndim else 1
-            data = _read_exact(fh, 8 * count, f"array data for {name}")
-            params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            data = _read_exact(fh, 8 * math.prod(shape), f"array data for {name}")
+            try:
+                params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # e.g. a zero dimension beside huge ones
+                raise CheckpointError(f"{path}: array {name} has unusable shape "
+                                      f"({exc})") from None
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after array section")
     return meta["kind"], meta["config"], (dim, blocks, seed), params
@@ -88,11 +105,20 @@ def save_model(path, model, kind: str) -> None:
 
 
 def _load_model(path, expected_kind: str, factory):
-    kind, config, (_, _, seed), params = load_checkpoint(path)
+    kind, config, (dim, blocks, seed), params = load_checkpoint(path)
     if kind != expected_kind:
         raise CheckpointError(
             f"{path}: checkpoint holds a {kind!r} model, expected {expected_kind!r}")
-    model = factory(PipelineConfig.from_dict(config), seed)
+    # the blob is outside input: a bad key, value or variant is corruption here
+    try:
+        cfg = PipelineConfig.from_dict(config)
+        if (dim, blocks) != (cfg.encoder.dim, cfg.encoder.blocks):
+            raise CheckpointError(
+                f"{path}: header says dim={dim}, blocks={blocks}; config blob says "
+                f"dim={cfg.encoder.dim}, blocks={cfg.encoder.blocks}")
+        model = factory(cfg, seed)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CheckpointError(f"{path}: config blob does not build a model ({exc})") from None
     current = model.parameters()
     if set(current) != set(params):
         missing = sorted(set(current) ^ set(params))

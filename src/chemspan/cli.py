@@ -29,7 +29,6 @@ from .alignment import (
 )
 from .analysis import CATEGORY_ITEMS, analyze, render_category_items, render_report
 from .checkpoint import (
-    CheckpointError,
     load_ner_model,
     load_re_model,
     save_ner_model,
@@ -42,6 +41,7 @@ from .ner import NerModel, train_ner
 from .relation import (
     RelationModel,
     gold_training_instances,
+    predict_e2e,
     predict_relations,
     recoverable_gold_mentions,
     train_re,
@@ -223,18 +223,8 @@ def cmd_predict_e2e(args) -> int:
     ner_model = load_ner_model(args.ner_ckpt)
     re_model = load_re_model(args.re_ckpt)
     docs = load_corpus_dir(args.corpus)
-    views = _views_by_doc(docs)
-    all_mentions = []
-    all_relations = []
-    for doc in docs:
-        view = views[doc.doc_id]
-        examples = ner_model.prepare_documents([doc], with_labels=False)
-        mentions_by_sent = {ex.sent_id: ner_model.predict_mentions(ex) for ex in examples}
-        for k in range(len(view.sentences)):
-            mentions = mentions_by_sent.get(view.sentences[k].sent_id, [])
-            all_mentions.extend(mentions)
-            all_relations.extend(predict_relations(re_model, view, k, mentions))
-    _write_lines(args.out_rels, _relation_records(all_relations, views))
+    all_mentions, all_relations = predict_e2e(ner_model, re_model, docs)
+    _write_lines(args.out_rels, _relation_records(all_relations, _views_by_doc(docs)))
     print(f"wrote {len(all_relations)} relation records to {args.out_rels}")
     if args.out_ents:
         _write_lines(args.out_ents, _entity_records(all_mentions))
@@ -393,7 +383,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ChemspanError, CheckpointError, FileNotFoundError) as exc:
+    except (ChemspanError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,16 @@ of calculus honest.
 """
 
 import hashlib
+import logging
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, OverLengthError
+from .config import PipelineConfig
+from .errors import NonFiniteError, OverLengthError, TrainingDivergedError
+
+log = logging.getLogger(__name__)
 
 CLS_SYMBOL = "[CLS]"
 SUBJ_OPEN = "[S:CHEM]"
@@ -240,6 +244,68 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
+class EncoderModel:
+    """A task head over a `TinyEncoder` built from ``config.encoder``.
+
+    Subclasses fill ``head`` (name -> array) and define
+    ``loss_and_grads(batch)``, returning the batch's mean loss and a
+    gradient dict shaped like ``parameters()``.
+    """
+
+    def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
+        self.config = config or PipelineConfig()
+        self.seed = seed
+        ec = self.config.encoder
+        self.encoder = TinyEncoder(ec.dim, ec.blocks, ec.ffn_dim, ec.buckets,
+                                   ec.max_len, seed=seed)
+        self.head: Params = {}
+
+    def parameters(self) -> Params:
+        merged = dict(self.encoder.params)
+        merged.update(self.head)
+        return merged
+
+    def zero_grads(self) -> Params:
+        grads = self.encoder.zero_grads()
+        grads.update({k: np.zeros_like(v) for k, v in self.head.items()})
+        return grads
+
+    def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
+            epochs: Optional[int] = None, batch_size: Optional[int] = None,
+            seed: int = 0, lr: Optional[float] = None) -> List[float]:
+        """Adam over seeded random batches; returns the per-epoch mean loss.
+
+        ``settings`` is the config section whose ``epochs``, ``batch_size``
+        and ``lr`` stand in for arguments left as None. Each batch's mean
+        loss counts ``weight(batch)`` times in its epoch's mean. Zero epochs
+        is a no-op that leaves the model untouched. Any non-finite loss
+        aborts immediately with the epoch and step in the error.
+        """
+        if not labeled:
+            log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
+            return []
+        epochs = settings.epochs if epochs is None else epochs
+        batch_size = settings.batch_size if batch_size is None else batch_size
+        opt = Adam(self.parameters(), lr=settings.lr if lr is None else lr)
+        rng = np.random.default_rng(seed)
+        curve = []
+        for epoch in range(epochs):
+            order = rng.permutation(len(labeled))
+            epoch_loss = 0.0
+            total = 0
+            for step, lo in enumerate(range(0, len(order), batch_size)):
+                batch = [labeled[i] for i in order[lo:lo + batch_size]]
+                loss, grads = self.loss_and_grads(batch)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, step, loss)
+                n = weight(batch)
+                epoch_loss += loss * n
+                total += n
+                opt.step(grads)
+            curve.append(epoch_loss / max(total, 1))
+        return curve
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -301,10 +367,3 @@ def encoder_grad_check(encoder: TinyEncoder, symbols: Sequence[str],
         return grads
 
     return grad_check(loss_fn, grad_fn, encoder.params, epsilon)
-
-
-def flat_norm(grads: Params) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    return math.sqrt(total)

@@ -44,3 +44,7 @@ class TrainingDivergedError(ChemspanError):
 
 class NonFiniteError(ChemspanError):
     """A numeric routine encountered NaN or infinity."""
+
+
+class CheckpointError(ChemspanError):
+    """A checkpoint file is malformed, corrupt, or holds the wrong model."""

@@ -16,8 +16,8 @@ import numpy as np
 from .alignment import DocView, align_document
 from .config import PipelineConfig
 from .corpus import Document
-from .encoder import Adam, TinyEncoder
-from .errors import OverLengthError, TrainingDivergedError
+from .encoder import EncoderModel
+from .errors import OverLengthError
 
 log = logging.getLogger(__name__)
 
@@ -128,16 +128,13 @@ class NerExample:
     token_chars: List[Tuple[int, int]]  # per sentence token, absolute offsets
 
 
-class NerModel:
+class NerModel(EncoderModel):
     """Span classifier over a trainable encoder."""
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
-        self.config = config or PipelineConfig()
-        self.seed = seed
+        super().__init__(config, seed)
         ec = self.config.encoder
         nc = self.config.ner
-        self.encoder = TinyEncoder(ec.dim, ec.blocks, ec.ffn_dim, ec.buckets,
-                                   ec.max_len, seed=seed)
         rng = np.random.default_rng(seed + 101)
         rep_dim = 2 * ec.dim + nc.width_dim
         self.head = {
@@ -145,16 +142,6 @@ class NerModel:
             "ner.w": rng.normal(0.0, rep_dim ** -0.5, (rep_dim, len(NER_LABELS))),
             "ner.b": np.zeros(len(NER_LABELS)),
         }
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        merged = dict(self.encoder.params)
-        merged.update(self.head)
-        return merged
-
-    def zero_grads(self) -> Dict[str, np.ndarray]:
-        grads = self.encoder.zero_grads()
-        grads.update({k: np.zeros_like(v) for k, v in self.head.items()})
-        return grads
 
     # -- data preparation ----------------------------------------------------
 
@@ -165,46 +152,55 @@ class NerModel:
         Supervision uses recoverable gold entities only; gold spans wider
         than the span limit cannot be represented and are logged.
         """
+        examples = []
+        too_wide = 0
+        for doc in docs:
+            view_examples, skipped = self.prepare_view(DocView.build(doc, segmenter), with_labels)
+            examples.extend(view_examples)
+            too_wide += skipped
+        if too_wide:
+            log.info("NER supervision skipped %d gold entities wider than %d tokens",
+                     too_wide, self.config.ner.max_span_width)
+        return examples
+
+    def prepare_view(self, view: DocView, with_labels: bool = True
+                     ) -> Tuple[List[NerExample], int]:
+        """One document's examples, and how many gold entities were too wide to label."""
         nc = self.config.ner
         ec = self.config.encoder
         examples = []
         too_wide = 0
-        for doc in docs:
-            view = DocView.build(doc, segmenter)
-            aligned = align_document(view) if with_labels else {}
-            gold_by_sentence: Dict[int, Dict[Tuple[int, int], str]] = {}
-            if with_labels:
-                for entity in doc.entities:
-                    k, a = aligned[entity.entity_id]
-                    if k is None or not a.recoverable:
-                        continue
-                    if a.token_end - a.token_start + 1 > nc.max_span_width:
-                        too_wide += 1
-                        continue
-                    gold_by_sentence.setdefault(k, {})[(a.token_start, a.token_end)] = a.etype
-            for k, sent in enumerate(view.sentences):
-                surfaces = [t.surface for t in view.tokens[k]]
-                if not surfaces:
+        gold_by_sentence: Dict[int, Dict[Tuple[int, int], str]] = {}
+        if with_labels:
+            aligned = align_document(view)
+            for entity in view.doc.entities:
+                k, a = aligned[entity.entity_id]
+                if k is None or not a.recoverable:
                     continue
-                left, right = view.context(k)
-                windowed = build_windowed_input(surfaces, left, right,
-                                                nc.context_window, ec.max_len)
-                candidates = enumerate_spans(len(surfaces), nc.max_span_width, sent.sent_id)
-                labels = None
-                if with_labels:
-                    labels = np.full(len(candidates), NULL_LABEL, dtype=np.int64)
-                    gold = gold_by_sentence.get(k, {})
-                    for i, c in enumerate(candidates):
-                        etype = gold.get((c.token_start, c.token_end))
-                        if etype is not None:
-                            labels[i] = NER_LABELS.index(etype)
-                examples.append(NerExample(
-                    doc.doc_id, sent.sent_id, windowed, candidates, labels,
-                    [(t.char_start, t.char_end) for t in view.tokens[k]]))
-        if too_wide:
-            log.info("NER supervision skipped %d gold entities wider than %d tokens",
-                     too_wide, nc.max_span_width)
-        return examples
+                if a.token_end - a.token_start + 1 > nc.max_span_width:
+                    too_wide += 1
+                    continue
+                gold_by_sentence.setdefault(k, {})[(a.token_start, a.token_end)] = a.etype
+        for k, sent in enumerate(view.sentences):
+            surfaces = [t.surface for t in view.tokens[k]]
+            if not surfaces:
+                continue
+            left, right = view.context(k)
+            windowed = build_windowed_input(surfaces, left, right,
+                                            nc.context_window, ec.max_len)
+            candidates = enumerate_spans(len(surfaces), nc.max_span_width, sent.sent_id)
+            labels = None
+            if with_labels:
+                labels = np.full(len(candidates), NULL_LABEL, dtype=np.int64)
+                gold = gold_by_sentence.get(k, {})
+                for i, c in enumerate(candidates):
+                    etype = gold.get((c.token_start, c.token_end))
+                    if etype is not None:
+                        labels[i] = NER_LABELS.index(etype)
+            examples.append(NerExample(
+                view.doc.doc_id, sent.sent_id, windowed, candidates, labels,
+                [(t.char_start, t.char_end) for t in view.tokens[k]]))
+        return examples, too_wide
 
     # -- forward / loss ------------------------------------------------------
 
@@ -286,31 +282,8 @@ def train_ner(model: NerModel, examples: Sequence[NerExample], epochs: Optional[
               lr: Optional[float] = None) -> List[float]:
     """Adam training over prepared sentences; returns per-epoch mean loss.
 
-    Zero epochs is a no-op that leaves the model untouched. Any non-finite
-    loss aborts immediately with the epoch and step in the error.
+    Each batch counts in the epoch mean by its number of candidate spans.
     """
-    nc = model.config.ner
-    epochs = nc.epochs if epochs is None else epochs
-    batch_size = nc.batch_size if batch_size is None else batch_size
     labeled = [ex for ex in examples if ex.labels is not None]
-    if not labeled:
-        log.warning("train_ner called with no labeled sentences; nothing to do")
-        return []
-    opt = Adam(model.parameters(), lr=nc.lr if lr is None else lr)
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(labeled))
-        epoch_loss = 0.0
-        spans = 0
-        for step, lo in enumerate(range(0, len(order), batch_size)):
-            batch = [labeled[i] for i in order[lo:lo + batch_size]]
-            loss, grads = model.loss_and_grads(batch)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, step, loss)
-            n_spans = sum(len(ex.candidates) for ex in batch)
-            epoch_loss += loss * n_spans
-            spans += n_spans
-            opt.step(grads)
-        curve.append(epoch_loss / max(spans, 1))
-    return curve
+    return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
+                     model.config.ner, epochs, batch_size, seed, lr)

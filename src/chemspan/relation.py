@@ -7,7 +7,6 @@ output is pooled into one of six representation layouts (A..F) feeding a
 two-layer ReLU head over {null, CPR:3, CPR:4, CPR:5, CPR:6, CPR:9}.
 """
 
-import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,20 +14,16 @@ import numpy as np
 
 from .alignment import DocView, align_document
 from .config import PipelineConfig
-from .corpus import Document, is_eval_group
+from .corpus import Document
 from .encoder import (
     CLS_SYMBOL,
     OBJ_CLOSE,
     OBJ_OPEN,
     SUBJ_CLOSE,
     SUBJ_OPEN,
-    Adam,
-    TinyEncoder,
+    EncoderModel,
 )
-from .errors import TrainingDivergedError
 from .ner import NerModel, SpanMention, build_windowed_input
-
-log = logging.getLogger(__name__)
 
 RELATION_LABELS = ("null", "CPR:3", "CPR:4", "CPR:5", "CPR:6", "CPR:9")
 NULL_RELATION = 0
@@ -143,20 +138,15 @@ class RelationInstance:
     label: Optional[int] = None
 
 
-class RelationModel:
+class RelationModel(EncoderModel):
     """Typed-marker relation classifier over a trainable encoder."""
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
-        self.config = config or PipelineConfig()
-        self.seed = seed
-        ec = self.config.encoder
-        rc = self.config.relation
-        if rc.variant not in _VARIANT_SEGMENTS:
-            raise ValueError(f"unknown representation variant {rc.variant!r}; expected A..F")
-        self.encoder = TinyEncoder(ec.dim, ec.blocks, ec.ffn_dim, ec.buckets,
-                                   ec.max_len, seed=seed)
+        config = config or PipelineConfig()
+        rc = config.relation
+        rep_dim = representation_width(rc.variant, config.encoder.dim)
+        super().__init__(config, seed)
         rng = np.random.default_rng(seed + 202)
-        rep_dim = representation_width(rc.variant, ec.dim)
         self.head = {
             "re.w1": rng.normal(0.0, rep_dim ** -0.5, (rep_dim, rc.head_hidden)),
             "re.b1": np.zeros(rc.head_hidden),
@@ -164,16 +154,6 @@ class RelationModel:
                                 (rc.head_hidden, len(RELATION_LABELS))),
             "re.b2": np.zeros(len(RELATION_LABELS)),
         }
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        merged = dict(self.encoder.params)
-        merged.update(self.head)
-        return merged
-
-    def zero_grads(self) -> Dict[str, np.ndarray]:
-        grads = self.encoder.zero_grads()
-        grads.update({k: np.zeros_like(v) for k, v in self.head.items()})
-        return grads
 
     # -- instance assembly ----------------------------------------------------
 
@@ -205,8 +185,12 @@ class RelationModel:
 
     # -- representation -------------------------------------------------------
 
-    def _segments(self):
-        return _VARIANT_SEGMENTS[self.config.relation.variant]
+    def _segment_positions(self, instance: RelationInstance) -> List[List[int]]:
+        """Symbol positions each pooled piece averages, in the variant's order."""
+        so, sc, oo, oc = instance.marker_positions
+        where = {"cls": [0], "s_open": [so], "s_close": [sc], "o_open": [oo],
+                 "o_close": [oc], "mid": instance.middle_positions}
+        return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
 
     def build_representation(self, h: np.ndarray, instance: RelationInstance) -> np.ndarray:
         """Concatenate the pooled pieces the configured variant asks for.
@@ -215,25 +199,8 @@ class RelationModel:
         tokens strictly between the spans, and the zero vector when the
         spans are adjacent, nested, or overlapping.
         """
-        so, sc, oo, oc = instance.marker_positions
-        pieces = []
-        for segment in self._segments():
-            if segment == "cls":
-                pieces.append(h[0])
-            elif segment == "s_open":
-                pieces.append(h[so])
-            elif segment == "s_close":
-                pieces.append(h[sc])
-            elif segment == "o_open":
-                pieces.append(h[oo])
-            elif segment == "o_close":
-                pieces.append(h[oc])
-            else:  # mid
-                if instance.middle_positions:
-                    pieces.append(h[instance.middle_positions].mean(axis=0))
-                else:
-                    pieces.append(np.zeros(h.shape[1]))
-        return np.concatenate(pieces)
+        return np.concatenate([h[pos].mean(axis=0) if pos else np.zeros(h.shape[1])
+                               for pos in self._segment_positions(instance)])
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -276,23 +243,9 @@ class RelationModel:
             drep = self.head["re.w1"] @ du
             dh = np.zeros_like(h)
             d = self.encoder.dim
-            so, sc, oo, oc = inst.marker_positions
-            for k, segment in enumerate(self._segments()):
-                chunk = drep[k * d:(k + 1) * d]
-                if segment == "cls":
-                    dh[0] += chunk
-                elif segment == "s_open":
-                    dh[so] += chunk
-                elif segment == "s_close":
-                    dh[sc] += chunk
-                elif segment == "o_open":
-                    dh[oo] += chunk
-                elif segment == "o_close":
-                    dh[oc] += chunk
-                elif inst.middle_positions:
-                    share = chunk / len(inst.middle_positions)
-                    for pos in inst.middle_positions:
-                        dh[pos] += share
+            for k, pos in enumerate(self._segment_positions(inst)):
+                if pos:
+                    np.add.at(dh, pos, drep[k * d:(k + 1) * d] / len(pos))
             self.encoder.backward(cache, dh, grads)
         return loss * scale, grads
 
@@ -368,28 +321,8 @@ def train_re(model: RelationModel, instances: Sequence[RelationInstance],
              epochs: Optional[int] = None, batch_size: Optional[int] = None,
              seed: int = 0, lr: Optional[float] = None) -> List[float]:
     """Adam training over labeled instances; returns per-epoch mean loss."""
-    rc = model.config.relation
-    epochs = rc.epochs if epochs is None else epochs
-    batch_size = rc.batch_size if batch_size is None else batch_size
     labeled = [inst for inst in instances if inst.label is not None]
-    if not labeled:
-        log.warning("train_re called with no labeled instances; nothing to do")
-        return []
-    opt = Adam(model.parameters(), lr=rc.lr if lr is None else lr)
-    rng = np.random.default_rng(seed)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(labeled))
-        epoch_loss = 0.0
-        for step, lo in enumerate(range(0, len(order), batch_size)):
-            batch = [labeled[i] for i in order[lo:lo + batch_size]]
-            loss, grads = model.loss_and_grads(batch)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, step, loss)
-            epoch_loss += loss * len(batch)
-            opt.step(grads)
-        curve.append(epoch_loss / len(labeled))
-    return curve
+    return model.fit(labeled, len, model.config.relation, epochs, batch_size, seed, lr)
 
 
 @dataclass(frozen=True)
@@ -422,16 +355,14 @@ def predict_e2e(ner_model: NerModel, re_model: RelationModel,
     The same character-level pair predicted from two different sentences is
     kept twice here; scoring set semantics deduplicates.
     """
-    examples = ner_model.prepare_documents(docs, segmenter, with_labels=False)
-    by_doc_sent = {}
-    for ex in examples:
-        by_doc_sent[(ex.doc_id, ex.sent_id)] = ner_model.predict_mentions(ex)
     all_mentions: List[SpanMention] = []
     all_relations: List[RelationPrediction] = []
     for doc in docs:
         view = DocView.build(doc, segmenter)
+        examples, _ = ner_model.prepare_view(view, with_labels=False)
+        by_sent = {ex.sent_id: ner_model.predict_mentions(ex) for ex in examples}
         for k, sent in enumerate(view.sentences):
-            mentions = by_doc_sent.get((doc.doc_id, sent.sent_id), [])
+            mentions = by_sent.get(sent.sent_id, [])
             all_mentions.extend(mentions)
             all_relations.extend(predict_relations(re_model, view, k, mentions))
     return all_mentions, all_relations

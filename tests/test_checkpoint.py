@@ -1,0 +1,135 @@
+"""The checkpoint contract: a corrupt file loads as a model or raises CheckpointError.
+
+The CLI turns CheckpointError into exit status 2 and one `error:` line.
+"""
+
+import json
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chemspan.checkpoint import (
+    CheckpointError,
+    load_ner_model,
+    load_re_model,
+    save_ner_model,
+    save_re_model,
+)
+from chemspan.cli import main
+from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationConfig
+from chemspan.corpus import save_corpus
+from chemspan.microcorpus import build_micro_corpus
+from chemspan.ner import NerModel
+from chemspan.relation import RelationModel
+
+BLOB_LENGTH_AT = 28  # magic (8) + version, dim, blocks (3 x u32) + seed (i64)
+
+
+def tiny_cfg():
+    return PipelineConfig(
+        encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=64, max_len=64),
+        ner=NerConfig(context_window=10, max_span_width=4, width_dim=5),
+        relation=RelationConfig(context_window=10, head_hidden=8))
+
+
+def valid_bytes(tmp_path, kind):
+    path = tmp_path / f"valid-{kind}.ckpt"
+    if kind == "ner":
+        save_ner_model(path, NerModel(tiny_cfg(), seed=0))
+    else:
+        save_re_model(path, RelationModel(tiny_cfg(), seed=0))
+    return path.read_bytes()
+
+
+def blob_end(raw):
+    (n,) = struct.unpack_from("<I", raw, BLOB_LENGTH_AT)
+    return BLOB_LENGTH_AT + 4 + n
+
+
+def with_blob(raw, blob):
+    return (raw[:BLOB_LENGTH_AT] + struct.pack("<I", len(blob)) + blob
+            + raw[blob_end(raw):])
+
+
+def with_meta(raw, edit):
+    start = BLOB_LENGTH_AT + 4
+    meta = json.loads(raw[start:blob_end(raw)])
+    edit(meta)
+    return with_blob(raw, json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+
+def first_array_shape_at(raw):
+    at = blob_end(raw) + 4  # past the array count
+    (name_len,) = struct.unpack_from("<H", raw, at)
+    return at + 2 + name_len + 1
+
+
+def patched(raw, at, packed):
+    return raw[:at] + packed + raw[at + len(packed):]
+
+
+CORRUPTIONS = {
+    "non-utf8-blob": lambda raw: patched(raw, BLOB_LENGTH_AT + 5, b"\xff"),
+    "malformed-json": lambda raw: with_blob(raw, raw[BLOB_LENGTH_AT + 4:blob_end(raw) - 1]),
+    "missing-kind": lambda raw: with_meta(raw, lambda m: m.pop("kind")),
+    "missing-config": lambda raw: with_meta(raw, lambda m: m.pop("config")),
+    "unknown-config-key": lambda raw: with_meta(
+        raw, lambda m: m["config"]["encoder"].update(width=3)),
+    "non-integer-size": lambda raw: with_meta(
+        raw, lambda m: m["config"]["encoder"].update(max_len=64.0)),
+    "zero-size": lambda raw: with_meta(
+        raw, lambda m: m["config"]["encoder"].update(ffn_dim=0)),
+    "bad-variant": lambda raw: with_meta(
+        raw, lambda m: m["config"]["relation"].update(variant="Z")),
+    "header-dim-disagrees": lambda raw: patched(raw, 12, struct.pack("<I", 9)),
+    "header-blocks-disagree": lambda raw: patched(raw, 16, struct.pack("<I", 2)),
+    "array-past-end-of-file": lambda raw: patched(
+        raw, first_array_shape_at(raw), struct.pack("<I", 0xFFFFFFFF)),
+    "non-utf8-array-name": lambda raw: patched(raw, blob_end(raw) + 6, b"\xff"),
+}
+
+
+# the span model never reads the relation variant, so that case is relation-only
+CASES = [(case, kind) for case in sorted(CORRUPTIONS) for kind in ("ner", "re")
+         if (case, kind) != ("bad-variant", "ner")]
+
+
+@pytest.mark.parametrize("case, kind", CASES)
+def test_corrupt_checkpoint_is_one_error_line(tmp_path, capsys, case, kind):
+    corpus = tmp_path / "corpus"
+    save_corpus(build_micro_corpus()[:1], corpus)
+    ckpt = tmp_path / "corrupt.ckpt"
+    ckpt.write_bytes(CORRUPTIONS[case](valid_bytes(tmp_path, kind)))
+    with pytest.raises(CheckpointError):
+        (load_ner_model if kind == "ner" else load_re_model)(ckpt)
+    rc = main([f"predict-{kind}", "--ckpt", str(ckpt), "--corpus", str(corpus),
+               "--out", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoints(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("checkpoints")
+    return directory, {kind: valid_bytes(directory, kind) for kind in ("ner", "re")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["ner", "re"]), data=st.data())
+def test_one_flipped_byte_loads_or_raises_checkpoint_error(valid_checkpoints, kind, data):
+    directory, raws = valid_checkpoints
+    raw = raws[kind]
+    # most bytes are float data; bias half the draws toward header, blob and names
+    at = data.draw(st.one_of(st.integers(0, blob_end(raw) + 64),
+                             st.integers(0, len(raw) - 1)), label="offset")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    path = directory / "flipped.ckpt"
+    path.write_bytes(patched(raw, at, bytes([raw[at] ^ flip])))
+    loader = load_ner_model if kind == "ner" else load_re_model
+    try:
+        loader(path)
+    except CheckpointError:
+        pass

@@ -243,3 +243,36 @@ def test_loading_the_wrong_kind_raises(tmp_path):
     save_ner_model(path, NerModel(tiny_cfg(), seed=0))
     with pytest.raises(CheckpointError):
         load_re_model(path)
+
+
+def test_predict_e2e_writes_the_library_predictions(tmp_path, micro_dir):
+    from chemspan.corpus import load_corpus_dir
+    from chemspan.relation import predict_e2e
+
+    config = small_config_dict()
+    config["ner"].update(epochs=20, lr=0.02)  # enough to predict relations
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    ner_ckpt, re_ckpt = tmp_path / "ner.ckpt", tmp_path / "re.ckpt"
+    assert main(["train-ner", "--corpus", str(micro_dir), "--config", str(config_path),
+                 "--seed", "2", "--out", str(ner_ckpt)]) == 0
+    assert main(["train-re", "--corpus", str(micro_dir), "--config", str(config_path),
+                 "--seed", "2", "--out", str(re_ckpt)]) == 0
+    rels, ents = tmp_path / "rels.tsv", tmp_path / "ents.tsv"
+    assert main(["predict-e2e", "--ner-ckpt", str(ner_ckpt), "--re-ckpt", str(re_ckpt),
+                 "--corpus", str(micro_dir), "--out-rels", str(rels),
+                 "--out-ents", str(ents)]) == 0
+
+    mentions, relations = predict_e2e(load_ner_model(ner_ckpt), load_re_model(re_ckpt),
+                                      load_corpus_dir(micro_dir))
+    assert mentions and relations
+    assert ents.read_text().splitlines() == [
+        f"{m.doc_id}\t{m.sent_id}\t{m.token_start}\t{m.token_end}\t{m.etype}\t{m.prob:.6f}"
+        for m in mentions]
+    # relation records: doc, label, prob and character offsets; token columns are
+    # document-level and covered by the full-pipeline test
+    rows = [line.split("\t") for line in rels.read_text().splitlines()]
+    assert [[r[0]] + r[5:] for r in rows] == [
+        [p.doc_id, p.label, f"{p.prob:.6f}", str(p.subject.char_start),
+         str(p.subject.char_end), str(p.object.char_start), str(p.object.char_end)]
+        for p in relations]

@@ -354,3 +354,33 @@ def test_prediction_instances_cover_all_pairs():
     instances = prediction_instances(model, view, 0, mentions)
     assert len(instances) == 2
     assert all(inst.label is None for inst in instances)
+
+
+@pytest.mark.parametrize("variant", list("ABCDE"))
+def test_every_variant_has_finite_difference_gradients(variant):
+    cfg = PipelineConfig(
+        encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=32),
+        relation=RelationConfig(variant=variant, head_hidden=8, context_window=4),
+    )
+    model = RelationModel(cfg, seed=2)
+    inst = build_one_instance(model, ["Na", "+", "binds", "NKCC", "1"], (0, 1), (3, 4))
+    inst.label = 2
+    err = grad_check(lambda: model.loss_and_grads([inst])[0],
+                     lambda: model.loss_and_grads([inst])[1],
+                     model.parameters(), 1e-4)
+    assert err < 1e-3
+
+
+def test_e2e_builds_each_document_view_once(monkeypatch):
+    built = []
+    original = DocView.build.__func__
+
+    def counting_build(cls, doc, segmenter=None):
+        built.append(doc.doc_id)
+        return original(cls, doc, segmenter)
+
+    monkeypatch.setattr(DocView, "build", classmethod(counting_build))
+    docs = [gold_doc(), Document("d2", "Nothing here.", "", "Nothing here. ")]
+    cfg = small_config()
+    predict_e2e(NerModel(cfg, seed=0), RelationModel(cfg, seed=0), docs)
+    assert built == ["d1", "d2"]
