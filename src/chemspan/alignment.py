@@ -10,7 +10,7 @@ counted here once, up front, so downstream recall denominators stay honest.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import Document, GoldEntity, Sentence, segment
+from .corpus import Document, GoldEntity, Sentence, _ints, read_tsv, segment
 from .tokenizer import Token, tokenize_sentence
 
 REASON_UNALIGNABLE = "unalignable"
@@ -132,7 +132,7 @@ def align_document(view: DocView) -> Dict[str, Tuple[Optional[int], AlignedEntit
     return out
 
 
-def compute_loss_report(docs: Sequence[Document], segmenter=None) -> LossReport:
+def compute_loss_report(docs: Sequence[Document]) -> LossReport:
     """Tokenization/segmentation loss over a corpus.
 
     Relations are counted over the evaluated relation classes only, since
@@ -141,7 +141,7 @@ def compute_loss_report(docs: Sequence[Document], segmenter=None) -> LossReport:
     """
     report = LossReport()
     for doc in docs:
-        view = DocView.build(doc, segmenter)
+        view = DocView.build(doc)
         aligned = align_document(view)
         for entity in doc.entities:
             report.entities_total += 1
@@ -171,6 +171,9 @@ def compute_loss_report(docs: Sequence[Document], segmenter=None) -> LossReport:
     return report
 
 
+_REPORT_COUNTS = ("entities_total", "entities_lost", "relations_total", "relations_lost")
+
+
 def render_loss_report(report: LossReport) -> str:
     """Line-delimited key-value form, stable ordering."""
     lines = [
@@ -198,35 +201,30 @@ def render_lost_items(report: LossReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_loss_report(text: str) -> LossReport:
+def parse_loss_report(text, path="<loss report>") -> LossReport:
+    """Read a rendered loss report, given as text or as the file's bytes.
+
+    Only the counts are read back; the rates follow from them.
+    """
+    data = text.encode("utf-8") if isinstance(text, str) else text
     report = LossReport()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split("\t")
-        if key == "entities_total":
-            report.entities_total = int(value)
-        elif key == "entities_lost":
-            report.entities_lost = int(value)
-        elif key == "relations_total":
-            report.relations_total = int(value)
-        elif key == "relations_lost":
-            report.relations_lost = int(value)
-        elif key.startswith("entities_lost["):
-            report.entities_lost_by_type[key[len("entities_lost["):-1]] = int(value)
+    for line_no, (key, value) in read_tsv(path, 2, data=data):
+        if key.startswith("entities_lost["):
+            report.entities_lost_by_type[key[len("entities_lost["):-1]] = \
+                _ints(path, line_no, key, value)[0]
         elif key.startswith("relations_lost["):
-            report.relations_lost_by_group[key[len("relations_lost["):-1]] = int(value)
+            report.relations_lost_by_group[key[len("relations_lost["):-1]] = \
+                _ints(path, line_no, key, value)[0]
+        elif key in _REPORT_COUNTS:
+            setattr(report, key, _ints(path, line_no, key, value)[0])
     return report
 
 
 def parse_lost_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str, str, str]]]:
     entities, relations = [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        cols = line.split("\t")
+    for _, cols in read_tsv("<lost items>", 4, 6, data=text.encode("utf-8")):
         if cols[0] == "entity":
-            entities.append((cols[1], cols[2], cols[3]))
+            entities.append(tuple(cols[1:4]))
         elif cols[0] == "relation":
-            relations.append((cols[1], cols[2], cols[3], cols[4], cols[5]))
+            relations.append(tuple(cols[1:6]))
     return entities, relations

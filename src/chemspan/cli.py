@@ -35,14 +35,14 @@ from .checkpoint import (
     save_re_model,
 )
 from .config import load_config
-from .corpus import load_corpus, load_corpus_dir
-from .errors import ChemspanError
+from .corpus import _ints, load_corpus, load_corpus_dir, read_tsv
+from .errors import ChemspanError, CorpusFormatError
 from .ner import NerModel, train_ner
 from .relation import (
     RelationModel,
     gold_training_instances,
-    predict_e2e,
     predict_relations,
+    predict_view,
     recoverable_gold_mentions,
     train_re,
 )
@@ -63,21 +63,6 @@ def _write_lines(path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def _read_records(path, n_cols: int, what: str) -> List[List[str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != n_cols:
-                raise ChemspanError(f"{path}:{line_no}: {what} record needs "
-                                    f"{n_cols} fields, got {len(cols)}")
-            rows.append(cols)
-    return rows
-
-
 def _views_by_doc(docs) -> Dict[str, DocView]:
     return {doc.doc_id: DocView.build(doc) for doc in docs}
 
@@ -91,10 +76,10 @@ def _entity_records(mentions) -> List[str]:
             f"{m.etype}\t{m.prob:.6f}" for m in mentions]
 
 
-def _relation_records(predictions, views: Dict[str, DocView]) -> List[str]:
+def _relation_records(predictions, view: DocView) -> List[str]:
+    """Records for one document's predictions, with document-level token offsets."""
     lines = []
     for p in predictions:
-        view = views[p.doc_id]
         flat = view.sent_flat_start[p.sent_id]
         lines.append(
             f"{p.doc_id}\t{flat + p.subject.token_start}\t{flat + p.subject.token_end}\t"
@@ -108,28 +93,29 @@ def _relation_records(predictions, views: Dict[str, DocView]) -> List[str]:
 def _parse_entity_keys(path, views: Dict[str, DocView]) -> Set[EntityKey]:
     """Entity records back to character-offset keys via the gold tokenization."""
     keys = set()
-    for doc_id, sent_id, t_start, t_end, etype, _prob in \
-            _read_records(path, 6, "entity"):
+    for line_no, (doc_id, sent_id, t_start, t_end, etype, _prob) in read_tsv(path, 6):
         if doc_id not in views:
-            raise ChemspanError(f"{path}: prediction for unknown document {doc_id!r}")
+            raise CorpusFormatError(path, line_no, "doc_id", f"unknown document {doc_id!r}")
         view = views[doc_id]
-        k = int(sent_id)
+        (k,) = _ints(path, line_no, "sent_id", sent_id)
         if not 0 <= k < len(view.sentences):
-            raise ChemspanError(f"{path}: document {doc_id} has no sentence {sent_id}")
+            raise CorpusFormatError(path, line_no, "sent_id",
+                                    f"document {doc_id} has no sentence {sent_id}")
         tokens = view.tokens[k]
-        start, end = int(t_start), int(t_end)
+        start, end = _ints(path, line_no, "token offsets", t_start, t_end)
         if not 0 <= start <= end < len(tokens):
-            raise ChemspanError(f"{path}: token span [{start},{end}] outside "
-                                f"sentence {sent_id} of document {doc_id}")
+            raise CorpusFormatError(path, line_no, "token offsets",
+                                    f"[{start},{end}] outside sentence {sent_id} "
+                                    f"of document {doc_id}")
         keys.add((doc_id, tokens[start].char_start, tokens[end].char_end, etype))
     return keys
 
 
 def _parse_relation_keys(path) -> Set[RelationKey]:
     keys = set()
-    for cols in _read_records(path, 11, "relation"):
+    for line_no, cols in read_tsv(path, 11):
         doc_id, label = cols[0], cols[5]
-        s0, s1, o0, o1 = (int(c) for c in cols[7:11])
+        s0, s1, o0, o1 = _ints(path, line_no, "character offsets", *cols[7:11])
         keys.add((doc_id, s0, s1, o0, o1, label))
     return keys
 
@@ -207,15 +193,14 @@ def cmd_train_re(args) -> int:
 def cmd_predict_re(args) -> int:
     model = load_re_model(args.ckpt)
     docs = load_corpus_dir(args.corpus)
-    views = _views_by_doc(docs)
-    predictions = []
+    records = []
     for doc in docs:
-        view = views[doc.doc_id]
+        view = DocView.build(doc)
         for k, id_mentions in sorted(recoverable_gold_mentions(view).items()):
             mentions = [m for _, m in id_mentions]
-            predictions.extend(predict_relations(model, view, k, mentions))
-    _write_lines(args.out, _relation_records(predictions, views))
-    print(f"wrote {len(predictions)} relation records to {args.out}")
+            records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
+    _write_lines(args.out, records)
+    print(f"wrote {len(records)} relation records to {args.out}")
     return 0
 
 
@@ -223,12 +208,17 @@ def cmd_predict_e2e(args) -> int:
     ner_model = load_ner_model(args.ner_ckpt)
     re_model = load_re_model(args.re_ckpt)
     docs = load_corpus_dir(args.corpus)
-    all_mentions, all_relations = predict_e2e(ner_model, re_model, docs)
-    _write_lines(args.out_rels, _relation_records(all_relations, _views_by_doc(docs)))
-    print(f"wrote {len(all_relations)} relation records to {args.out_rels}")
+    entity_records, relation_records = [], []
+    for doc in docs:
+        view = DocView.build(doc)
+        mentions, relations = predict_view(ner_model, re_model, view)
+        entity_records.extend(_entity_records(mentions))
+        relation_records.extend(_relation_records(relations, view))
+    _write_lines(args.out_rels, relation_records)
+    print(f"wrote {len(relation_records)} relation records to {args.out_rels}")
     if args.out_ents:
-        _write_lines(args.out_ents, _entity_records(all_mentions))
-        print(f"wrote {len(all_mentions)} entity records to {args.out_ents}")
+        _write_lines(args.out_ents, entity_records)
+        print(f"wrote {len(entity_records)} entity records to {args.out_ents}")
     return 0
 
 
@@ -252,14 +242,12 @@ def _structural_losses(docs) -> Tuple[Set[EntityKey], Dict[str, int],
 
 def cmd_score(args) -> int:
     docs = load_corpus_dir(args.gold)
-    views = _views_by_doc(docs)
     lost_entities: Set[EntityKey] = set()
     lost_relations: Set[RelationKey] = set()
     entities_lost_by_type: Dict[str, int] = {}
     relations_lost_by_group: Dict[str, int] = {}
     if args.loss_report:
-        with open(args.loss_report, encoding="utf-8") as fh:
-            stated = parse_loss_report(fh.read())
+        stated = parse_loss_report(Path(args.loss_report).read_bytes(), args.loss_report)
         lost_entities, entities_lost_by_type, lost_relations, relations_lost_by_group = \
             _structural_losses(docs)
         if (stated.entities_lost != len(lost_entities)
@@ -271,7 +259,7 @@ def cmd_score(args) -> int:
                 f"{len(lost_entities)}/{len(lost_relations)}")
     if args.task == "ner":
         gold = gold_entity_set(docs) - lost_entities
-        predicted = _parse_entity_keys(args.pred, views)
+        predicted = _parse_entity_keys(args.pred, _views_by_doc(docs))
         report = score_ner(gold, predicted, lost_by_type=entities_lost_by_type)
     else:
         gold = gold_relation_set(docs) - lost_relations

@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractViolationError, CorpusFormatError, DanglingReferenceError
 
@@ -115,13 +115,43 @@ def _parse_flag(raw: str) -> bool:
     raise ValueError(f"unparseable flag {raw!r}")
 
 
-def _read_rows(path) -> Iterable[Tuple[int, List[str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            yield line_no, line.split("\t")
+def read_tsv(path, min_fields: int, max_fields: Optional[int] = None,
+             data: Optional[bytes] = None) -> Iterator[Tuple[int, List[str]]]:
+    """Yield (line number, fields) for every non-blank line of a UTF-8 TSV file.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``; each line is decoded on its
+    own so that a bad byte is reported on its own line. A line whose field
+    count is outside min_fields..max_fields raises. ``data``, when given, is
+    the file's content and ``path`` only names it in errors.
+    """
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    max_fields = min_fields if max_fields is None else max_fields
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        if not raw:
+            continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            field_no = raw.count(b"\t", 0, exc.start) + 1
+            raise CorpusFormatError(path, line_no, f"field {field_no}",
+                                    f"byte {raw[exc.start]:#04x} is not UTF-8") from None
+        cols = line.split("\t")
+        if not min_fields <= len(cols) <= max_fields:
+            want = min_fields if min_fields == max_fields else f"{min_fields}-{max_fields}"
+            raise CorpusFormatError(path, line_no, "column count",
+                                    f"expected {want} tab-separated fields, got {len(cols)}")
+        yield line_no, cols
+
+
+def _ints(path, line_no: int, field: str, *raw: str) -> List[int]:
+    """The raw values as integers, or a CorpusFormatError naming the field."""
+    try:
+        return [int(v) for v in raw]
+    except ValueError:
+        raise CorpusFormatError(path, line_no, field,
+                                f"non-integer {field} {'/'.join(map(repr, raw))}") from None
 
 
 def _strip_arg(value: str) -> str:
@@ -152,11 +182,7 @@ def load_corpus_with_diagnostics(
 
     texts: Dict[str, Tuple[str, str]] = {}
     order: List[str] = []
-    for line_no, cols in _read_rows(abstracts_path):
-        if len(cols) != 3:
-            raise CorpusFormatError(abstracts_path, line_no, "column count",
-                                    f"expected 3 tab-separated fields, got {len(cols)}")
-        doc_id, title, abstract = cols
+    for line_no, (doc_id, title, abstract) in read_tsv(abstracts_path, 3):
         if not doc_id:
             raise CorpusFormatError(abstracts_path, line_no, "doc_id", "empty")
         if doc_id in texts:
@@ -165,24 +191,18 @@ def load_corpus_with_diagnostics(
         order.append(doc_id)
     diags.line_counts[str(abstracts_path)] = len(order)
 
-    entities: Dict[str, List[GoldEntity]] = {d: [] for d in order}
+    # entity_id -> entity per document, in file order
+    entities: Dict[str, Dict[str, GoldEntity]] = {d: {} for d in order}
     if entities_path is not None:
         n = 0
-        for line_no, cols in _read_rows(entities_path):
-            if len(cols) != 6:
-                raise CorpusFormatError(entities_path, line_no, "column count",
-                                        f"expected 6 tab-separated fields, got {len(cols)}")
+        for line_no, cols in read_tsv(entities_path, 6):
             doc_id, entity_id, raw_type, raw_start, raw_end, surface = cols
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, entity_id, "entity for unknown document")
             if raw_type not in tmap:
                 raise CorpusFormatError(entities_path, line_no, "type",
                                         f"unknown entity type {raw_type!r}")
-            try:
-                start, end = int(raw_start), int(raw_end)
-            except ValueError:
-                raise CorpusFormatError(entities_path, line_no, "offsets",
-                                        f"non-integer offsets {raw_start!r}/{raw_end!r}") from None
+            start, end = _ints(entities_path, line_no, "offsets", raw_start, raw_end)
             text = join_title_abstract(*texts[doc_id])
             if not (0 <= start < end <= len(text)):
                 raise CorpusFormatError(entities_path, line_no, "offsets",
@@ -192,10 +212,10 @@ def load_corpus_with_diagnostics(
                     entities_path, line_no, "surface",
                     f"document {doc_id} slice [{start},{end}) is "
                     f"{text[start:end]!r}, file says {surface!r}")
-            if any(e.entity_id == entity_id for e in entities[doc_id]):
+            if entity_id in entities[doc_id]:
                 raise CorpusFormatError(entities_path, line_no, "entity_id",
                                         f"duplicate {entity_id!r} in document {doc_id}")
-            entities[doc_id].append(GoldEntity(entity_id, tmap[raw_type], start, end, surface))
+            entities[doc_id][entity_id] = GoldEntity(entity_id, tmap[raw_type], start, end, surface)
             n += 1
         diags.line_counts[str(entities_path)] = n
 
@@ -203,17 +223,11 @@ def load_corpus_with_diagnostics(
     if relations_path is not None:
         n = 0
         seen: Dict[Tuple[str, str, str, str], int] = {}
-        for line_no, cols in _read_rows(relations_path):
-            if len(cols) == 4:
-                doc_id, raw_group, raw_arg1, raw_arg2 = cols
-                raw_flag = None
-            elif len(cols) == 5:
-                doc_id, raw_group, raw_flag, raw_arg1, raw_arg2 = cols
-            elif len(cols) == 6:
-                doc_id, raw_group, raw_flag, _name, raw_arg1, raw_arg2 = cols
-            else:
-                raise CorpusFormatError(relations_path, line_no, "column count",
-                                        f"expected 4-6 tab-separated fields, got {len(cols)}")
+        for line_no, cols in read_tsv(relations_path, 4, 6):
+            # (doc, group, arg1, arg2), a flag column after the group, and a
+            # relation-name column after the flag
+            doc_id, raw_group, raw_arg1, raw_arg2 = cols[0], cols[1], cols[-2], cols[-1]
+            raw_flag = cols[2] if len(cols) > 4 else None
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, raw_arg1, "relation for unknown document")
             try:
@@ -232,7 +246,7 @@ def load_corpus_with_diagnostics(
                     relations_path, line_no, "eval_flag",
                     f"{group} must have eval_flag={'Y' if is_eval_group(group) else 'N'}")
             arg1, arg2 = _strip_arg(raw_arg1), _strip_arg(raw_arg2)
-            ents = {e.entity_id: e for e in entities[doc_id]}
+            ents = entities[doc_id]
             for arg, want in ((arg1, "CHEMICAL"), (arg2, "GENE")):
                 if arg not in ents:
                     raise DanglingReferenceError(doc_id, arg, "relation argument not in entity file")
@@ -265,19 +279,11 @@ def load_corpus_with_diagnostics(
     boundaries: Dict[str, List[Tuple[int, int]]] = {}
     if sentences_path is not None:
         n = 0
-        for line_no, cols in _read_rows(sentences_path):
-            if len(cols) != 3:
-                raise CorpusFormatError(sentences_path, line_no, "column count",
-                                        f"expected 3 tab-separated fields, got {len(cols)}")
-            doc_id, raw_start, raw_end = cols
+        for line_no, (doc_id, raw_start, raw_end) in read_tsv(sentences_path, 3):
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, f"[{raw_start},{raw_end})",
                                              "sentence for unknown document")
-            try:
-                start, end = int(raw_start), int(raw_end)
-            except ValueError:
-                raise CorpusFormatError(sentences_path, line_no, "offsets",
-                                        f"non-integer offsets {raw_start!r}/{raw_end!r}") from None
+            start, end = _ints(sentences_path, line_no, "offsets", raw_start, raw_end)
             boundaries.setdefault(doc_id, []).append((start, end))
             n += 1
         diags.line_counts[str(sentences_path)] = n
@@ -290,7 +296,7 @@ def load_corpus_with_diagnostics(
             title=title,
             abstract=abstract,
             text=join_title_abstract(title, abstract),
-            entities=tuple(entities[doc_id]),
+            entities=tuple(entities[doc_id].values()),
             relations=tuple(relations[doc_id]),
             sentence_boundaries=tuple(boundaries[doc_id]) if doc_id in boundaries else None,
         ))
@@ -386,14 +392,16 @@ def validate_sentences(text: str, intervals: Sequence[Tuple[int, int]]) -> None:
             raise ContractViolationError(
                 f"sentence [{start},{end}) overlaps or precedes previous end {prev_end}")
         prev_end = end
-    covered = [False] * len(text)
-    for start, end in intervals:
-        for i in range(start, end):
-            covered[i] = True
-    for i, ch in enumerate(text):
-        if not ch.isspace() and not covered[i]:
-            raise ContractViolationError(
-                f"non-whitespace character at offset {i} ({ch!r}) not covered by any sentence")
+    # the intervals are now sorted and disjoint, so only the gaps around
+    # them can hold uncovered text
+    gap_starts = [0] + [end for _, end in intervals]
+    gap_ends = [start for start, _ in intervals] + [len(text)]
+    for lo, hi in zip(gap_starts, gap_ends):
+        for i in range(lo, hi):
+            if not text[i].isspace():
+                raise ContractViolationError(
+                    f"non-whitespace character at offset {i} ({text[i]!r}) "
+                    "not covered by any sentence")
 
 
 def segment(doc: Document, segmenter: Optional[SegmenterFn] = None) -> List[Sentence]:
@@ -419,16 +427,8 @@ def segment(doc: Document, segmenter: Optional[SegmenterFn] = None) -> List[Sent
 def load_corrections(path) -> Dict[str, List[Tuple[str, int, int]]]:
     """Read correction rows: doc_id, entity_id, new_start, new_end."""
     fixes: Dict[str, List[Tuple[str, int, int]]] = {}
-    for line_no, cols in _read_rows(path):
-        if len(cols) != 4:
-            raise CorpusFormatError(path, line_no, "column count",
-                                    f"expected 4 tab-separated fields, got {len(cols)}")
-        doc_id, entity_id, raw_start, raw_end = cols
-        try:
-            start, end = int(raw_start), int(raw_end)
-        except ValueError:
-            raise CorpusFormatError(path, line_no, "offsets",
-                                    f"non-integer offsets {raw_start!r}/{raw_end!r}") from None
+    for line_no, (doc_id, entity_id, raw_start, raw_end) in read_tsv(path, 4):
+        start, end = _ints(path, line_no, "offsets", raw_start, raw_end)
         fixes.setdefault(doc_id, []).append((entity_id, start, end))
     return fixes
 

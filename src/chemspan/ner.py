@@ -145,7 +145,7 @@ class NerModel(EncoderModel):
 
     # -- data preparation ----------------------------------------------------
 
-    def prepare_documents(self, docs: Sequence[Document], segmenter=None,
+    def prepare_documents(self, docs: Sequence[Document],
                           with_labels: bool = True) -> List[NerExample]:
         """Window and (optionally) label every sentence of the documents.
 
@@ -155,7 +155,7 @@ class NerModel(EncoderModel):
         examples = []
         too_wide = 0
         for doc in docs:
-            view_examples, skipped = self.prepare_view(DocView.build(doc, segmenter), with_labels)
+            view_examples, skipped = self.prepare_view(DocView.build(doc), with_labels)
             examples.extend(view_examples)
             too_wide += skipped
         if too_wide:

@@ -273,8 +273,8 @@ def recoverable_gold_mentions(view: DocView) -> Dict[int, List[Tuple[str, SpanMe
     return by_sent
 
 
-def gold_training_instances(model: RelationModel, docs: Sequence[Document],
-                            segmenter=None) -> List[RelationInstance]:
+def gold_training_instances(model: RelationModel, docs: Sequence[Document]
+                            ) -> List[RelationInstance]:
     """Instances over recoverable gold entity pairs, labeled from gold.
 
     Pairs whose gold relation belongs to a non-evaluated group get the null
@@ -285,7 +285,7 @@ def gold_training_instances(model: RelationModel, docs: Sequence[Document],
     """
     instances = []
     for doc in docs:
-        view = DocView.build(doc, segmenter)
+        view = DocView.build(doc)
         label_map: Dict[Tuple[str, str], List[str]] = {}
         for rel in doc.relations:
             if rel.eval_flag:
@@ -347,10 +347,23 @@ def predict_relations(model: RelationModel, view: DocView, sent_idx: int,
     return out
 
 
-def predict_e2e(ner_model: NerModel, re_model: RelationModel,
-                docs: Sequence[Document], segmenter=None
+def predict_view(ner_model: NerModel, re_model: RelationModel, view: DocView
+                 ) -> Tuple[List[SpanMention], List[RelationPrediction]]:
+    """Predicted entities of one document feed the relation classifier."""
+    examples, _ = ner_model.prepare_view(view, with_labels=False)
+    by_sent = {ex.sent_id: ner_model.predict_mentions(ex) for ex in examples}
+    all_mentions: List[SpanMention] = []
+    all_relations: List[RelationPrediction] = []
+    for k, sent in enumerate(view.sentences):
+        mentions = by_sent.get(sent.sent_id, [])
+        all_mentions.extend(mentions)
+        all_relations.extend(predict_relations(re_model, view, k, mentions))
+    return all_mentions, all_relations
+
+
+def predict_e2e(ner_model: NerModel, re_model: RelationModel, docs: Sequence[Document]
                 ) -> Tuple[List[SpanMention], List[RelationPrediction]]:
-    """Full pipeline: predicted entities feed the relation classifier.
+    """Full pipeline over documents, one predict_view per document.
 
     The same character-level pair predicted from two different sentences is
     kept twice here; scoring set semantics deduplicates.
@@ -358,11 +371,7 @@ def predict_e2e(ner_model: NerModel, re_model: RelationModel,
     all_mentions: List[SpanMention] = []
     all_relations: List[RelationPrediction] = []
     for doc in docs:
-        view = DocView.build(doc, segmenter)
-        examples, _ = ner_model.prepare_view(view, with_labels=False)
-        by_sent = {ex.sent_id: ner_model.predict_mentions(ex) for ex in examples}
-        for k, sent in enumerate(view.sentences):
-            mentions = by_sent.get(sent.sent_id, [])
-            all_mentions.extend(mentions)
-            all_relations.extend(predict_relations(re_model, view, k, mentions))
+        mentions, relations = predict_view(ner_model, re_model, DocView.build(doc))
+        all_mentions.extend(mentions)
+        all_relations.extend(relations)
     return all_mentions, all_relations

@@ -102,3 +102,21 @@ def central_difference(loss_fn, array, index, epsilon):
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ArithmeticError("non-finite loss during finite differencing")
     return (hi - lo) / (2.0 * epsilon)
+
+
+# ---------------------------------------------------------------------------
+# sentence coverage oracle: mark every covered character
+
+def first_uncovered_offset(text, intervals):
+    """Offset of the first non-whitespace character no interval covers, or None.
+
+    The intervals must already be in bounds; they may be in any order.
+    """
+    covered = [False] * len(text)
+    for start, end in intervals:
+        for i in range(start, end):
+            covered[i] = True
+    for i, ch in enumerate(text):
+        if not ch.isspace() and not covered[i]:
+            return i
+    return None

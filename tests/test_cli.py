@@ -276,3 +276,71 @@ def test_predict_e2e_writes_the_library_predictions(tmp_path, micro_dir):
         [p.doc_id, p.label, f"{p.prob:.6f}", str(p.subject.char_start),
          str(p.subject.char_end), str(p.object.char_start), str(p.object.char_end)]
         for p in relations]
+
+
+def test_predict_e2e_builds_each_document_view_once(tmp_path, micro_dir, monkeypatch):
+    from chemspan.alignment import DocView
+
+    ner_ckpt, re_ckpt = tmp_path / "ner.ckpt", tmp_path / "re.ckpt"
+    save_ner_model(ner_ckpt, NerModel(tiny_cfg(), seed=0))
+    save_re_model(re_ckpt, RelationModel(tiny_cfg(), seed=0))
+    built = []
+    original = DocView.build.__func__
+
+    def counting_build(cls, doc, segmenter=None):
+        built.append(doc.doc_id)
+        return original(cls, doc, segmenter)
+
+    monkeypatch.setattr(DocView, "build", classmethod(counting_build))
+    rels = tmp_path / "rels.tsv"
+    assert main(["predict-e2e", "--ner-ckpt", str(ner_ckpt), "--re-ckpt", str(re_ckpt),
+                 "--corpus", str(micro_dir), "--out-rels", str(rels),
+                 "--out-ents", str(tmp_path / "ents.tsv")]) == 0
+    assert built == ["MICRO0", "MICRO1", "MICRO2"]
+    # relation records are matched on character offsets: no tokenization needed
+    built.clear()
+    assert main(["score", "--gold", str(micro_dir), "--pred", str(rels), "--task", "re"]) == 0
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: exit 2 with one error line naming the file and line
+
+ENTITY_RECORD = b"MICRO0\t0\t0\t0\tCHEMICAL\t0.9\n"
+
+# case -> (argv, bytes appended to files in the corpus directory, location named)
+BAD_INPUTS = {
+    "non-integer token offset in an entity record": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
+        {"ents.tsv": ENTITY_RECORD + b"MICRO0\t0\tx\t1\tCHEMICAL\t0.9\n"}, "ents.tsv:2:"),
+    "non-integer character offset in a relation record": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv"],
+        {"rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\t0.9\t0\t7\tq\t21\n"}, "rels.tsv:1:"),
+    "loss-report line without a tab": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv",
+         "--loss-report", "{dir}/loss.txt"],
+        {"rels.tsv": b"", "loss.txt": b"entities_total\t3\nentities_lost 1\n"}, "loss.txt:2:"),
+    "non-integer loss-report count": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv",
+         "--loss-report", "{dir}/loss.txt"],
+        {"rels.tsv": b"", "loss.txt": b"entities_total\t3\nentity_loss_rate\t0.500000\n"
+                                      b"relations_lost\tmany\n"}, "loss.txt:3:"),
+    "non-UTF-8 abstracts file": (
+        ["align-stats", "--corpus", "{dir}", "--report", "{dir}/loss.txt"],
+        {"abstracts.tsv": b"MICRO9\tT\xff.\tA.\n"}, "abstracts.tsv:4:"),
+    "non-UTF-8 prediction file": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
+        {"ents.tsv": ENTITY_RECORD + ENTITY_RECORD[:-1] + b"\xe9\n"}, "ents.tsv:2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_line_is_one_error_naming_file_and_line(micro_dir, capsys, case):
+    argv, appended, location = BAD_INPUTS[case]
+    for name, data in appended.items():
+        path = micro_dir / name
+        path.write_bytes((path.read_bytes() if path.exists() else b"") + data)
+    assert main([arg.format(dir=micro_dir) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"{micro_dir / location}" in err[0], err

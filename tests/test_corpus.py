@@ -1,6 +1,9 @@
 """Corpus loading, segmentation, correction, and round-trip tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import first_uncovered_offset
 
 from chemspan.corpus import (
     Document,
@@ -14,6 +17,7 @@ from chemspan.corpus import (
     load_corpus_dir,
     load_corpus_with_diagnostics,
     load_corrections,
+    read_tsv,
     save_corpus,
     segment,
     validate_sentences,
@@ -215,6 +219,26 @@ def test_empty_document_cannot_be_segmented():
         segment(doc)
 
 
+@st.composite
+def text_and_sorted_intervals(draw):
+    text = draw(st.text(alphabet="ab \t\n\u00a0\u2003.", max_size=30))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)))
+    # consecutive cuts, each kept or dropped: adjacent sentences and gaps
+    return text, [pair for pair in zip(cuts, cuts[1:]) if draw(st.booleans())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_and_sorted_intervals())
+def test_gap_check_matches_the_per_character_oracle(case):
+    text, intervals = case
+    offset = first_uncovered_offset(text, intervals)
+    if offset is None:
+        validate_sentences(text, intervals)
+    else:
+        with pytest.raises(ContractViolationError, match=f"at offset {offset} "):
+            validate_sentences(text, intervals)
+
+
 # ---------------------------------------------------------------------------
 # corrections
 
@@ -304,3 +328,68 @@ def test_test_split_sized_entity_file_loads_with_exact_counts(tmp_path):
         for e in doc.entities:
             counts[e.etype] += 1
     assert counts == {"CHEMICAL": 10_810, "GENE": 10_018}
+
+
+# ---------------------------------------------------------------------------
+# the tab-separated reader behind every input file
+
+
+def full_corpus(tmp_path):
+    tmp_path.mkdir(exist_ok=True)
+    small_corpus(tmp_path)
+    write(tmp_path / "sentences.tsv", [("d1", 0, 18), ("d1", 19, 51), ("d1", 52, 69)])
+    write(tmp_path / "corrections.tsv", [("d1", "T1", 0, 7)])
+    return tmp_path
+
+
+@pytest.mark.parametrize("name,width", [
+    ("abstracts.tsv", 3), ("entities.tsv", 6), ("relations.tsv", "4-6"),
+    ("sentences.tsv", 3), ("corrections.tsv", 4),
+])
+def test_wrong_field_count_names_file_line_and_width(tmp_path, name, width):
+    corpus = full_corpus(tmp_path)
+    load_corpus_dir(corpus)
+    path = corpus / name
+    path.write_text(path.read_text(encoding="utf-8") + "d1\tonly two\n", encoding="utf-8")
+    line_no = len(path.read_text(encoding="utf-8").splitlines())
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus_dir(corpus)
+    assert (err.value.line_no, err.value.field) == (line_no, "column count")
+    assert str(err.value) == (f"{path}:{line_no}: bad column count: "
+                              f"expected {width} tab-separated fields, got 2")
+
+
+@pytest.mark.parametrize("n_cols", [3, 7])
+def test_relation_rows_take_four_to_six_fields(tmp_path, n_cols):
+    abstracts, entities, _ = small_corpus(tmp_path)
+    row = ("d1", "CPR:4", "Y", "INHIBITOR", "Arg1:T3", "Arg2:T4", "extra")
+    relations = write(tmp_path / "relations.tsv", [row[:n_cols]])
+    with pytest.raises(CorpusFormatError,
+                       match=f"expected 4-6 tab-separated fields, got {n_cols}"):
+        load_corpus(abstracts, entities, relations)
+
+
+def test_bad_byte_is_reported_on_its_own_line(tmp_path):
+    path = tmp_path / "abstracts.tsv"
+    path.write_bytes(b"d1\tA.\tB.\n\nd2\tA.\tok \xff here\nd3\tA.\tB.\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert (err.value.path, err.value.line_no, err.value.field) == (str(path), 3, "field 3")
+    assert "0xff" in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_bare_cr_files_load_like_lf_files(tmp_path, newline):
+    lf = full_corpus(tmp_path / "lf")
+    other = tmp_path / "other"
+    other.mkdir()
+    for path in lf.iterdir():
+        text = path.read_text(encoding="utf-8").replace("\n", newline)
+        (other / path.name).write_bytes(text.encode("utf-8"))
+    assert load_corpus_dir(other) == load_corpus_dir(lf)
+
+
+def test_line_numbers_count_every_line_ending(tmp_path):
+    data = b"a\tb\r\n\r\nc\td\re\n"
+    rows = list(read_tsv("x.tsv", 1, 2, data=data))
+    assert rows == [(1, ["a", "b"]), (3, ["c", "d"]), (4, ["e"])]
