@@ -14,6 +14,7 @@ from .alignment import (
     align_entity,
     compute_loss_report,
     parse_loss_report,
+    recoverable_entities,
     render_loss_report,
     render_lost_items,
 )
@@ -39,7 +40,7 @@ from .corpus import (
     save_corpus,
 )
 from .encoder import TinyEncoder, encoder_grad_check
-from .errors import ChemspanError, ContractViolationError, CorpusFormatError
+from .errors import ChemspanError, ConfigError, ContractViolationError, CorpusFormatError
 from .microcorpus import build_micro_corpus, load_micro_corpus
 from .ner import (
     NER_LABELS,
@@ -80,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedEntity", "DocView", "LossReport", "align_document", "align_entity",
     "compute_loss_report", "parse_loss_report", "render_loss_report",
-    "render_lost_items",
+    "recoverable_entities", "render_lost_items",
     "ErrorBreakdown", "analyze", "render_report",
     "CheckpointError", "load_ner_model", "load_re_model", "save_ner_model",
     "save_re_model",
@@ -88,7 +89,7 @@ __all__ = [
     "CPR_GROUPS", "ENTITY_TYPES", "EVAL_GROUPS", "Document", "GoldEntity",
     "GoldRelation", "is_eval_group", "load_corpus", "load_corpus_dir", "save_corpus",
     "TinyEncoder", "encoder_grad_check",
-    "ChemspanError", "ContractViolationError", "CorpusFormatError",
+    "ChemspanError", "ConfigError", "ContractViolationError", "CorpusFormatError",
     "build_micro_corpus", "load_micro_corpus",
     "NER_LABELS", "NerModel", "SpanCandidate", "SpanMention",
     "build_windowed_input", "enumerate_spans", "span_count", "train_ner",

@@ -8,9 +8,10 @@ counted here once, up front, so downstream recall denominators stay honest.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import Document, GoldEntity, Sentence, _ints, read_tsv, segment
+from .errors import CorpusFormatError
 from .tokenizer import Token, tokenize_sentence
 
 REASON_UNALIGNABLE = "unalignable"
@@ -132,16 +133,37 @@ def align_document(view: DocView) -> Dict[str, Tuple[Optional[int], AlignedEntit
     return out
 
 
+def recoverable_entities(view: DocView) -> Dict[int, List[Tuple[GoldEntity, AlignedEntity]]]:
+    """The gold entities a token-span system can represent, with their spans.
+
+    Grouped by sentence index in ascending order, entities in document order
+    within each sentence. Training, prediction over gold entities and the
+    loss report all take recoverability from here and `align_document`.
+    """
+    aligned = align_document(view)
+    by_sent: Dict[int, List[Tuple[GoldEntity, AlignedEntity]]] = {}
+    for entity in view.doc.entities:
+        k, a = aligned[entity.entity_id]
+        if a.recoverable:
+            by_sent.setdefault(k, []).append((entity, a))
+    return dict(sorted(by_sent.items()))
+
+
 def compute_loss_report(docs: Sequence[Document]) -> LossReport:
-    """Tokenization/segmentation loss over a corpus.
+    """Tokenization/segmentation loss over a corpus; see `loss_report_of_views`."""
+    return loss_report_of_views(DocView.build(doc) for doc in docs)
+
+
+def loss_report_of_views(views: Iterable[DocView]) -> LossReport:
+    """Tokenization/segmentation loss over documents already segmented.
 
     Relations are counted over the evaluated relation classes only, since
     those are the ones a scorer will ever ask about. A relation is lost when
     either argument is lost or the arguments sit in different sentences.
     """
     report = LossReport()
-    for doc in docs:
-        view = DocView.build(doc)
+    for view in views:
+        doc = view.doc
         aligned = align_document(view)
         for entity in doc.entities:
             report.entities_total += 1
@@ -221,10 +243,12 @@ def parse_loss_report(text, path="<loss report>") -> LossReport:
 
 
 def parse_lost_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str, str, str]]]:
+    """Read `render_lost_items` output back; a malformed row raises CorpusFormatError."""
+    path = "<lost items>"
     entities, relations = [], []
-    for _, cols in read_tsv("<lost items>", 4, 6, data=text.encode("utf-8")):
-        if cols[0] == "entity":
-            entities.append(tuple(cols[1:4]))
-        elif cols[0] == "relation":
-            relations.append(tuple(cols[1:6]))
+    for line_no, cols in read_tsv(path, 4, 6, data=text.encode("utf-8")):
+        if {"entity": 4, "relation": 6}.get(cols[0]) != len(cols):
+            raise CorpusFormatError(path, line_no, "row", "expected entity with 4 fields or "
+                                    f"relation with 6, got {cols[0]!r} with {len(cols)}")
+        (entities if cols[0] == "entity" else relations).append(tuple(cols[1:]))
     return entities, relations

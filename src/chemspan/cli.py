@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 from .alignment import (
     DocView,
     compute_loss_report,
+    loss_report_of_views,
     parse_loss_report,
     render_loss_report,
     render_lost_items,
@@ -196,7 +197,7 @@ def cmd_predict_re(args) -> int:
     records = []
     for doc in docs:
         view = DocView.build(doc)
-        for k, id_mentions in sorted(recoverable_gold_mentions(view).items()):
+        for k, id_mentions in recoverable_gold_mentions(view).items():
             mentions = [m for _, m in id_mentions]
             records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
     _write_lines(args.out, records)
@@ -222,18 +223,17 @@ def cmd_predict_e2e(args) -> int:
     return 0
 
 
-def _structural_losses(docs) -> Tuple[Set[EntityKey], Dict[str, int],
-                                      Set[RelationKey], Dict[str, int]]:
-    report = compute_loss_report(docs)
-    by_id = {doc.doc_id: doc for doc in docs}
+def _structural_losses(views: Dict[str, DocView]) -> Tuple[Set[EntityKey], Dict[str, int],
+                                                         Set[RelationKey], Dict[str, int]]:
+    report = loss_report_of_views(views.values())
     entity_keys = set()
     for doc_id, entity_id, _reason in report.lost_entity_ids:
-        e = by_id[doc_id].entity_by_id(entity_id)
+        e = views[doc_id].doc.entity_by_id(entity_id)
         entity_keys.add((doc_id, e.char_start, e.char_end, e.etype))
     relation_keys = set()
     for doc_id, arg1, arg2, group, _reason in report.lost_relation_keys:
-        chem = by_id[doc_id].entity_by_id(arg1)
-        gene = by_id[doc_id].entity_by_id(arg2)
+        chem = views[doc_id].doc.entity_by_id(arg1)
+        gene = views[doc_id].doc.entity_by_id(arg2)
         relation_keys.add((doc_id, chem.char_start, chem.char_end,
                            gene.char_start, gene.char_end, group))
     return (entity_keys, dict(report.entities_lost_by_type),
@@ -242,6 +242,8 @@ def _structural_losses(docs) -> Tuple[Set[EntityKey], Dict[str, int],
 
 def cmd_score(args) -> int:
     docs = load_corpus_dir(args.gold)
+    # entity records and the loss report need the tokenization; relation records do not
+    views = _views_by_doc(docs) if args.task == "ner" or args.loss_report else {}
     lost_entities: Set[EntityKey] = set()
     lost_relations: Set[RelationKey] = set()
     entities_lost_by_type: Dict[str, int] = {}
@@ -249,7 +251,7 @@ def cmd_score(args) -> int:
     if args.loss_report:
         stated = parse_loss_report(Path(args.loss_report).read_bytes(), args.loss_report)
         lost_entities, entities_lost_by_type, lost_relations, relations_lost_by_group = \
-            _structural_losses(docs)
+            _structural_losses(views)
         if (stated.entities_lost != len(lost_entities)
                 or stated.relations_lost != len(lost_relations)):
             raise ChemspanError(
@@ -259,7 +261,7 @@ def cmd_score(args) -> int:
                 f"{len(lost_entities)}/{len(lost_relations)}")
     if args.task == "ner":
         gold = gold_entity_set(docs) - lost_entities
-        predicted = _parse_entity_keys(args.pred, _views_by_doc(docs))
+        predicted = _parse_entity_keys(args.pred, views)
         report = score_ner(gold, predicted, lost_by_type=entities_lost_by_type)
     else:
         gold = gold_relation_set(docs) - lost_relations

@@ -8,8 +8,35 @@ holding any subset of these keys, grouped by section.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
+
+from .errors import ConfigError
+
+
+def _check_fields(section: str, values, minimums: Dict[str, int]) -> None:
+    """Raise ConfigError naming the first bad field of a config object.
+
+    Integer fields must hold ints (not bools or floats) of at least their
+    minimum; float fields must be finite numbers above zero.
+    """
+    for f in dataclasses.fields(values):
+        key = f"{section}.{f.name}" if section else f.name
+        value = getattr(values, f.name)
+        if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if f.type is int and value < minimums[f.name]:
+            raise ConfigError(f"{key} must be at least {minimums[f.name]}, got {value}")
+        if f.type is float and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                or not 0 < value < math.inf):
+            raise ConfigError(f"{key} must be a finite number above 0, got {value!r}")
+
+
+def _json_object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -19,6 +46,10 @@ class EncoderConfig:
     ffn_dim: int = 128
     buckets: int = 2048
     max_len: int = 512
+
+    def __post_init__(self):
+        _check_fields("encoder", self, {"dim": 1, "blocks": 0, "ffn_dim": 1,
+                                        "buckets": 1, "max_len": 1})
 
 
 @dataclass
@@ -30,6 +61,10 @@ class NerConfig:
     batch_size: int = 16
     lr: float = 3e-3
 
+    def __post_init__(self):
+        _check_fields("ner", self, {"max_span_width": 1, "width_dim": 0, "context_window": 0,
+                                    "epochs": 0, "batch_size": 1})
+
 
 @dataclass
 class RelationConfig:
@@ -40,6 +75,15 @@ class RelationConfig:
     batch_size: int = 16
     lr: float = 3e-3
 
+    def __post_init__(self):
+        if self.variant not in ("A", "B", "C", "D", "E", "F"):
+            raise ConfigError(f"relation.variant must be one of A-F, got {self.variant!r}")
+        _check_fields("relation", self, {"head_hidden": 1, "context_window": 0,
+                                         "epochs": 0, "batch_size": 1})
+
+
+_SECTIONS = {"encoder": EncoderConfig, "ner": NerConfig, "relation": RelationConfig}
+
 
 @dataclass
 class PipelineConfig:
@@ -48,26 +92,35 @@ class PipelineConfig:
     relation: RelationConfig = dataclasses.field(default_factory=RelationConfig)
     seeds: int = 5                  # how many seeds a multi-seed run averages
 
+    def __post_init__(self):
+        _check_fields("", self, {"seeds": 1})
+
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        cfg = cls()
-        for section_name, section_cls in (("encoder", EncoderConfig),
-                                          ("ner", NerConfig),
-                                          ("relation", RelationConfig)):
-            overrides = data.get(section_name, {})
-            section = getattr(cfg, section_name)
-            for key, value in overrides.items():
-                if not hasattr(section, key):
-                    raise KeyError(f"unknown config key {section_name}.{key}")
-                setattr(section, key, value)
-        if "seeds" in data:
-            cfg.seeds = int(data["seeds"])
-        return cfg
+    def from_dict(cls, data) -> "PipelineConfig":
+        """Build each section through its constructor; unknown keys are errors."""
+        kwargs = {}
+        for name, value in _json_object("config", data).items():
+            if name == "seeds":
+                kwargs[name] = value
+                continue
+            if name not in _SECTIONS:
+                raise ConfigError(f"unknown config key {name}")
+            known = {f.name for f in dataclasses.fields(_SECTIONS[name])}
+            for key in _json_object(f"config section {name}", value):
+                if key not in known:
+                    raise ConfigError(f"unknown config key {name}.{key}")
+            kwargs[name] = _SECTIONS[name](**value)
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise ConfigError(f"{path}: not a UTF-8 JSON file ({exc})") from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {

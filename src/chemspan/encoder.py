@@ -209,11 +209,10 @@ class TinyEncoder:
             grads[f"b{b}.bv"] += dv.sum(axis=0)
             dx += dq @ p[f"b{b}.wq"].T + dk @ p[f"b{b}.wk"].T + dv @ p[f"b{b}.wv"].T
         special, idx = cache["special"], cache["idx"]
-        if n:
-            grads["pos_emb"][:n] += dx
-            hashed = ~special
-            np.add.at(grads["tok_emb"], idx[hashed], dx[hashed])
-            np.add.at(grads["special_emb"], idx[special], dx[special])
+        grads["pos_emb"][:n] += dx
+        hashed = ~special
+        np.add.at(grads["tok_emb"], idx[hashed], dx[hashed])
+        np.add.at(grads["special_emb"], idx[special], dx[special])
 
 
 class Adam:

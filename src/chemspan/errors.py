@@ -48,3 +48,7 @@ class NonFiniteError(ChemspanError):
 
 class CheckpointError(ChemspanError):
     """A checkpoint file is malformed, corrupt, or holds the wrong model."""
+
+
+class ConfigError(ChemspanError, ValueError):
+    """A config file or value is malformed; the message names the key."""

@@ -13,10 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alignment import DocView, align_document
+from .alignment import DocView, recoverable_entities
 from .config import PipelineConfig
 from .corpus import Document
-from .encoder import EncoderModel
+from .encoder import EncoderModel, _softmax_rows
 from .errors import OverLengthError
 
 log = logging.getLogger(__name__)
@@ -170,17 +170,7 @@ class NerModel(EncoderModel):
         ec = self.config.encoder
         examples = []
         too_wide = 0
-        gold_by_sentence: Dict[int, Dict[Tuple[int, int], str]] = {}
-        if with_labels:
-            aligned = align_document(view)
-            for entity in view.doc.entities:
-                k, a = aligned[entity.entity_id]
-                if k is None or not a.recoverable:
-                    continue
-                if a.token_end - a.token_start + 1 > nc.max_span_width:
-                    too_wide += 1
-                    continue
-                gold_by_sentence.setdefault(k, {})[(a.token_start, a.token_end)] = a.etype
+        recoverable = recoverable_entities(view) if with_labels else {}
         for k, sent in enumerate(view.sentences):
             surfaces = [t.surface for t in view.tokens[k]]
             if not surfaces:
@@ -191,8 +181,13 @@ class NerModel(EncoderModel):
             candidates = enumerate_spans(len(surfaces), nc.max_span_width, sent.sent_id)
             labels = None
             if with_labels:
+                gold: Dict[Tuple[int, int], str] = {}
+                for _, a in recoverable.get(k, ()):
+                    if a.token_end - a.token_start + 1 > nc.max_span_width:
+                        too_wide += 1
+                    else:
+                        gold[(a.token_start, a.token_end)] = a.etype
                 labels = np.full(len(candidates), NULL_LABEL, dtype=np.int64)
-                gold = gold_by_sentence.get(k, {})
                 for i, c in enumerate(candidates):
                     etype = gold.get((c.token_start, c.token_end))
                     if etype is not None:
@@ -222,10 +217,7 @@ class NerModel(EncoderModel):
             return []
         h = self.encoder.encode(example.windowed.symbols)
         reps, *_ = self._span_reps(example, h)
-        logits = self._logits(reps)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = _softmax_rows(self._logits(reps))
         picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
         return [(c, NER_LABELS[picks[i]], float(probs[i, picks[i]]))
                 for i, c in enumerate(example.candidates)]
@@ -256,10 +248,7 @@ class NerModel(EncoderModel):
                 continue
             h, cache = self.encoder.forward(ex.windowed.symbols)
             reps, starts, ends, widths = self._span_reps(ex, h)
-            logits = self._logits(reps)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = exp / exp.sum(axis=1, keepdims=True)
+            probs = _softmax_rows(self._logits(reps))
             rows = np.arange(len(ex.candidates))
             loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
             dlogits = probs

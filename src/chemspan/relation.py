@@ -7,12 +7,13 @@ output is pooled into one of six representation layouts (A..F) feeding a
 two-layer ReLU head over {null, CPR:3, CPR:4, CPR:5, CPR:6, CPR:9}.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alignment import DocView, align_document
+from .alignment import DocView, recoverable_entities
 from .config import PipelineConfig
 from .corpus import Document
 from .encoder import (
@@ -22,6 +23,7 @@ from .encoder import (
     SUBJ_CLOSE,
     SUBJ_OPEN,
     EncoderModel,
+    _softmax_rows,
 )
 from .ner import NerModel, SpanMention, build_windowed_input
 
@@ -205,11 +207,7 @@ class RelationModel(EncoderModel):
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
         z = np.maximum(u, 0.0)
-        logits = z @ self.head["re.w2"] + self.head["re.b2"]
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
-        return u, z, probs
+        return u, z, _softmax_rows(z @ self.head["re.w2"] + self.head["re.b2"])
 
     def classify(self, instance: RelationInstance) -> Tuple[str, float]:
         """Argmax relation label and probability for one instance."""
@@ -255,27 +253,19 @@ class RelationModel(EncoderModel):
 
 
 def recoverable_gold_mentions(view: DocView) -> Dict[int, List[Tuple[str, SpanMention]]]:
-    """Gold entities as token-span mentions, grouped by sentence index.
-
-    Entities that tokenization cannot recover are absent; the loss report
-    is the place that accounts for them.
-    """
-    aligned = align_document(view)
+    """`recoverable_entities` as (entity id, token-span mention) pairs."""
     by_sent: Dict[int, List[Tuple[str, SpanMention]]] = {}
-    for entity in view.doc.entities:
-        k, a = aligned[entity.entity_id]
-        if k is None or not a.recoverable:
-            continue
-        mention = SpanMention(
-            view.doc.doc_id, view.sentences[k].sent_id, a.token_start, a.token_end,
-            entity.etype, entity.char_start, entity.char_end)
-        by_sent.setdefault(k, []).append((entity.entity_id, mention))
+    for k, entities in recoverable_entities(view).items():
+        by_sent[k] = [(e.entity_id, SpanMention(view.doc.doc_id, view.sentences[k].sent_id,
+                                                a.token_start, a.token_end, e.etype,
+                                                e.char_start, e.char_end))
+                      for e, a in entities]
     return by_sent
 
 
 def gold_training_instances(model: RelationModel, docs: Sequence[Document]
                             ) -> List[RelationInstance]:
-    """Instances over recoverable gold entity pairs, labeled from gold.
+    """Prediction's pair instances over recoverable gold entities, labeled from gold.
 
     Pairs whose gold relation belongs to a non-evaluated group get the null
     label, as do pairs with no gold relation at all. A pair carrying several
@@ -290,21 +280,14 @@ def gold_training_instances(model: RelationModel, docs: Sequence[Document]
         for rel in doc.relations:
             if rel.eval_flag:
                 label_map.setdefault((rel.arg1, rel.arg2), []).append(rel.cpr_group)
-        for k, id_mentions in sorted(recoverable_gold_mentions(view).items()):
-            surfaces = [t.surface for t in view.tokens[k]]
-            left, right = view.context(k)
-            chems = [(eid, m) for eid, m in id_mentions if m.etype == "CHEMICAL"]
-            genes = [(eid, m) for eid, m in id_mentions if m.etype == "GENE"]
-            chems.sort(key=lambda x: (x[1].token_start, x[1].token_end))
-            genes.sort(key=lambda x: (x[1].token_start, x[1].token_end))
-            for chem_id, chem in chems:
-                for gene_id, gene in genes:
-                    groups = sorted(set(label_map.get((chem_id, gene_id), ())))
-                    labels = [RELATION_LABELS.index(g) for g in groups] or [NULL_RELATION]
-                    for label in labels:
-                        instances.append(model.build_instance(
-                            doc.doc_id, view.sentences[k].sent_id, surfaces,
-                            left, right, chem, gene, label))
+        for k, id_mentions in recoverable_gold_mentions(view).items():
+            # two entities with equal offsets and type give equal mentions: match by identity
+            entity_id = {id(m): eid for eid, m in id_mentions}
+            for inst in prediction_instances(model, view, k, [m for _, m in id_mentions]):
+                pair = (entity_id[id(inst.subject)], entity_id[id(inst.object)])
+                groups = sorted(set(label_map.get(pair, ())))
+                for label in [RELATION_LABELS.index(g) for g in groups] or [NULL_RELATION]:
+                    instances.append(dataclasses.replace(inst, label=label))
     return instances
 
 

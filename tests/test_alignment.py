@@ -15,6 +15,7 @@ from chemspan.alignment import (
     render_lost_items,
 )
 from chemspan.corpus import Document, GoldEntity, GoldRelation, Sentence
+from chemspan.errors import CorpusFormatError
 from chemspan.tokenizer import tokenize, tokenize_sentence
 
 
@@ -176,3 +177,13 @@ def test_docview_context_is_document_ordered():
     left0, right0 = view.context(0)
     assert left0 == []
     assert right0 == [t.surface for t in view.tokens[1]]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("relation\td1\tT1\tT2\n", 1),
+    ("entity\td1\tT1\tunalignable\nentity\td1\tT2\tunalignable\tx\n", 2),
+    ("entity\td1\tT1\tunalignable\nbogus\td1\tT1\tT2\n", 2),
+], ids=["short relation row", "long entity row", "unknown row kind"])
+def test_malformed_lost_item_rows_are_rejected(text, line):
+    with pytest.raises(CorpusFormatError, match=f"<lost items>:{line}:"):
+        parse_lost_items(text)

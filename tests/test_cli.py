@@ -344,3 +344,62 @@ def test_bad_input_line_is_one_error_naming_file_and_line(micro_dir, capsys, cas
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert f"{micro_dir / location}" in err[0], err
+
+
+def test_score_with_loss_report_builds_each_document_view_once(tmp_path, monkeypatch):
+    from chemspan.alignment import DocView
+
+    corpus = lossy_corpus(tmp_path)
+    report_path = tmp_path / "loss.txt"
+    assert main(["align-stats", "--corpus", str(corpus), "--report", str(report_path)]) == 0
+    pred = tmp_path / "pred_ents.tsv"
+    pred.write_text("dclean\t0\t0\t0\tCHEMICAL\t0.990000\n", encoding="utf-8")
+    built = []
+    original = DocView.build.__func__
+
+    def counting_build(cls, doc, segmenter=None):
+        built.append(doc.doc_id)
+        return original(cls, doc, segmenter)
+
+    monkeypatch.setattr(DocView, "build", classmethod(counting_build))
+    assert main(["score", "--gold", str(corpus), "--pred", str(pred), "--task", "ner",
+                 "--loss-report", str(report_path)]) == 0
+    assert sorted(built) == ["dclean", "dlost"]
+
+
+# ---------------------------------------------------------------------------
+# malformed config files: exit 2 with one error line naming the key, at load
+
+# case -> (config file bytes, text the error line names)
+BAD_CONFIGS = {
+    "zero ffn_dim": (b'{"encoder": {"ffn_dim": 0}}', "encoder.ffn_dim"),
+    "float max_len": (b'{"encoder": {"max_len": 64.0}}', "encoder.max_len"),
+    "string epochs": (b'{"ner": {"epochs": "3"}}', "ner.epochs"),
+    "section not an object": (b'{"ner": []}', "ner"),
+    "misspelled section": (b'{"encodr": {"dim": 8}}', "encodr"),
+    "unknown variant": (b'{"relation": {"variant": "Z"}}', "relation.variant"),
+    "unknown section key": (b'{"ner": {"epoch": 3}}', "ner.epoch"),
+    "boolean size": (b'{"encoder": {"blocks": true}}', "encoder.blocks"),
+    "negative context window": (b'{"relation": {"context_window": -1}}',
+                                "relation.context_window"),
+    "zero seeds": (b'{"seeds": 0}', "seeds"),
+    "non-finite learning rate": (b'{"ner": {"lr": NaN}}', "ner.lr"),
+    "zero learning rate": (b'{"relation": {"lr": 0}}', "relation.lr"),
+    "not an object": (b'[1, 2]', "config"),
+    "malformed JSON": (b'{"ner": {"epochs": 3}', "config.json"),
+    "non-UTF-8 file": (b'{"ner": {"lr": "\xff"}}', "config.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_one_error_naming_the_key(tmp_path, micro_dir, capsys, case):
+    blob, names = BAD_CONFIGS[case]
+    config = tmp_path / "config.json"
+    config.write_bytes(blob)
+    out = tmp_path / "ner.ckpt"
+    assert main(["train-ner", "--corpus", str(micro_dir), "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert names in err[0], err
+    assert not out.exists()

@@ -384,3 +384,15 @@ def test_e2e_builds_each_document_view_once(monkeypatch):
     cfg = small_config()
     predict_e2e(NerModel(cfg, seed=0), RelationModel(cfg, seed=0), docs)
     assert built == ["d1", "d2"]
+
+
+def test_gold_entities_with_identical_offsets_and_type_get_separate_instances():
+    doc = gold_doc()
+    twin = GoldEntity("T1b", "CHEMICAL", 0, 7, "Aspirin")
+    doc = Document(doc.doc_id, doc.title, doc.abstract, doc.text, doc.entities + (twin,),
+                   doc.relations + (GoldRelation("CPR:9", True, "T1b", "T2"),))
+    model = RelationModel(small_config(), seed=0)
+    instances = gold_training_instances(model, [doc])
+    pair_labels = sorted(i.label for i in instances
+                         if (i.subject.char_start, i.object.char_start) == (0, 17))
+    assert pair_labels == [RELATION_LABELS.index("CPR:4"), RELATION_LABELS.index("CPR:9")]
