@@ -17,8 +17,9 @@ through the gold corpus tokenization.
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from .alignment import (
     DocView,
@@ -52,6 +53,7 @@ from .scoring import (
     RelationKey,
     gold_entity_set,
     gold_relation_set,
+    lost_gold_keys,
     render_score_report,
     score_ner,
     score_re,
@@ -223,50 +225,30 @@ def cmd_predict_e2e(args) -> int:
     return 0
 
 
-def _structural_losses(views: Dict[str, DocView]) -> Tuple[Set[EntityKey], Dict[str, int],
-                                                         Set[RelationKey], Dict[str, int]]:
-    report = loss_report_of_views(views.values())
-    entity_keys = set()
-    for doc_id, entity_id, _reason in report.lost_entity_ids:
-        e = views[doc_id].doc.entity_by_id(entity_id)
-        entity_keys.add((doc_id, e.char_start, e.char_end, e.etype))
-    relation_keys = set()
-    for doc_id, arg1, arg2, group, _reason in report.lost_relation_keys:
-        chem = views[doc_id].doc.entity_by_id(arg1)
-        gene = views[doc_id].doc.entity_by_id(arg2)
-        relation_keys.add((doc_id, chem.char_start, chem.char_end,
-                           gene.char_start, gene.char_end, group))
-    return (entity_keys, dict(report.entities_lost_by_type),
-            relation_keys, dict(report.relations_lost_by_group))
-
-
 def cmd_score(args) -> int:
     docs = load_corpus_dir(args.gold)
     # entity records and the loss report need the tokenization; relation records do not
     views = _views_by_doc(docs) if args.task == "ner" or args.loss_report else {}
-    lost_entities: Set[EntityKey] = set()
-    lost_relations: Set[RelationKey] = set()
-    entities_lost_by_type: Dict[str, int] = {}
-    relations_lost_by_group: Dict[str, int] = {}
+    lost_entities, lost_relations = set(), set()
     if args.loss_report:
         stated = parse_loss_report(Path(args.loss_report).read_bytes(), args.loss_report)
-        lost_entities, entities_lost_by_type, lost_relations, relations_lost_by_group = \
-            _structural_losses(views)
-        if (stated.entities_lost != len(lost_entities)
-                or stated.relations_lost != len(lost_relations)):
+        loss = loss_report_of_views(views.values())
+        if (stated.entities_lost != loss.entities_lost
+                or stated.relations_lost != loss.relations_lost):
             raise ChemspanError(
                 f"{args.loss_report} is stale: it states "
                 f"{stated.entities_lost}/{stated.relations_lost} lost "
                 f"entities/relations, the corpus has "
-                f"{len(lost_entities)}/{len(lost_relations)}")
+                f"{loss.entities_lost}/{loss.relations_lost}")
+        lost_entities, lost_relations = lost_gold_keys(loss, docs)
     if args.task == "ner":
         gold = gold_entity_set(docs) - lost_entities
         predicted = _parse_entity_keys(args.pred, views)
-        report = score_ner(gold, predicted, lost_by_type=entities_lost_by_type)
+        report = score_ner(gold, predicted, lost_by_type=Counter(k[-1] for k in lost_entities))
     else:
         gold = gold_relation_set(docs) - lost_relations
         predicted = _parse_relation_keys(args.pred)
-        report = score_re(gold, predicted, lost_by_group=relations_lost_by_group)
+        report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
     print(render_score_report(report), end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

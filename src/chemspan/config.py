@@ -82,6 +82,10 @@ class RelationConfig:
                                          "epochs": 0, "batch_size": 1})
 
 
+# ~260 times the bound at the default sizes; training holds three more copies
+# (gradients and Adam's two moments)
+MAX_PARAMETERS = 2 ** 26
+
 _SECTIONS = {"encoder": EncoderConfig, "ner": NerConfig, "relation": RelationConfig}
 
 
@@ -94,6 +98,20 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_fields("", self, {"seeds": 1})
+        e, n, r = self.encoder, self.ner, self.relation
+        # an upper bound on the float64 parameters either model allocates
+        bound = (e.dim * (e.buckets + e.max_len + 8)                       # embeddings
+                 + e.blocks * (e.dim + 1) * (4 * e.dim + 2 * e.ffn_dim + 8)  # blocks
+                 + (n.max_span_width + 3) * n.width_dim + 6 * e.dim + 3     # span head
+                 + (6 * e.dim + 7) * r.head_hidden + 6)                     # relation head
+        if bound > MAX_PARAMETERS:
+            raise ConfigError(
+                f"config sizes allow up to {bound} float64 parameters per model, over "
+                f"the limit of {MAX_PARAMETERS}: encoder.dim={e.dim}, "
+                f"encoder.buckets={e.buckets}, encoder.max_len={e.max_len}, "
+                f"encoder.blocks={e.blocks}, encoder.ffn_dim={e.ffn_dim}, "
+                f"ner.max_span_width={n.max_span_width}, ner.width_dim={n.width_dim}, "
+                f"relation.head_hidden={r.head_hidden}")
 
     @classmethod
     def from_dict(cls, data) -> "PipelineConfig":

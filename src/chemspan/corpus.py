@@ -166,7 +166,6 @@ def load_corpus_with_diagnostics(
     entities_path=None,
     relations_path=None,
     sentences_path=None,
-    type_map: Optional[Dict[str, str]] = None,
 ) -> Tuple[List[Document], LoadDiagnostics]:
     """Load and validate a corpus; returns documents plus parse diagnostics.
 
@@ -177,7 +176,6 @@ def load_corpus_with_diagnostics(
     an extra relation-name column between flag and args. ``Arg1:``/``Arg2:``
     prefixes on the argument ids are tolerated.
     """
-    tmap = dict(DEFAULT_TYPE_MAP if type_map is None else type_map)
     diags = LoadDiagnostics()
 
     texts: Dict[str, Tuple[str, str]] = {}
@@ -199,7 +197,7 @@ def load_corpus_with_diagnostics(
             doc_id, entity_id, raw_type, raw_start, raw_end, surface = cols
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, entity_id, "entity for unknown document")
-            if raw_type not in tmap:
+            if raw_type not in DEFAULT_TYPE_MAP:
                 raise CorpusFormatError(entities_path, line_no, "type",
                                         f"unknown entity type {raw_type!r}")
             start, end = _ints(entities_path, line_no, "offsets", raw_start, raw_end)
@@ -215,7 +213,8 @@ def load_corpus_with_diagnostics(
             if entity_id in entities[doc_id]:
                 raise CorpusFormatError(entities_path, line_no, "entity_id",
                                         f"duplicate {entity_id!r} in document {doc_id}")
-            entities[doc_id][entity_id] = GoldEntity(entity_id, tmap[raw_type], start, end, surface)
+            entities[doc_id][entity_id] = GoldEntity(
+                entity_id, DEFAULT_TYPE_MAP[raw_type], start, end, surface)
             n += 1
         diags.line_counts[str(entities_path)] = n
 
@@ -304,13 +303,13 @@ def load_corpus_with_diagnostics(
 
 
 def load_corpus(abstracts_path, entities_path=None, relations_path=None,
-                sentences_path=None, type_map=None) -> List[Document]:
+                sentences_path=None) -> List[Document]:
     docs, _ = load_corpus_with_diagnostics(
-        abstracts_path, entities_path, relations_path, sentences_path, type_map)
+        abstracts_path, entities_path, relations_path, sentences_path)
     return docs
 
 
-def load_corpus_dir(corpus_dir, type_map=None) -> List[Document]:
+def load_corpus_dir(corpus_dir) -> List[Document]:
     """Load abstracts/entities/relations(.tsv) and optional sentences.tsv."""
     d = Path(corpus_dir)
     abstracts = d / "abstracts.tsv"
@@ -324,7 +323,6 @@ def load_corpus_dir(corpus_dir, type_map=None) -> List[Document]:
         entities if entities.exists() else None,
         relations if relations.exists() else None,
         sentences if sentences.exists() else None,
-        type_map,
     )
     corrections = d / "corrections.tsv"
     if corrections.exists():

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .corpus import Document, is_eval_group
+from .alignment import LossReport
+from .corpus import Document, GoldEntity, is_eval_group
 from .errors import ContractViolationError
 from .ner import SpanMention
 from .relation import RelationPrediction
@@ -185,23 +186,38 @@ def aggregate_seeds(reports: Sequence[ScoreReport]) -> ScoreReport:
 # key builders
 
 
+def _entity_key(doc: Document, entity: GoldEntity) -> EntityKey:
+    return (doc.doc_id, entity.char_start, entity.char_end, entity.etype)
+
+
+def _relation_key(doc: Document, arg1: str, arg2: str, group: str) -> RelationKey:
+    chem, gene = doc.entity_by_id(arg1), doc.entity_by_id(arg2)
+    return (doc.doc_id, chem.char_start, chem.char_end, gene.char_start, gene.char_end, group)
+
+
 def gold_entity_set(docs: Sequence[Document]) -> Set[EntityKey]:
-    return {(doc.doc_id, e.char_start, e.char_end, e.etype)
-            for doc in docs for e in doc.entities}
+    return {_entity_key(doc, e) for doc in docs for e in doc.entities}
 
 
 def gold_relation_set(docs: Sequence[Document]) -> Set[RelationKey]:
     """Evaluated gold relations as character-offset keys (chemical first)."""
-    out: Set[RelationKey] = set()
-    for doc in docs:
-        for rel in doc.relations:
-            if not rel.eval_flag:
-                continue
-            chem = doc.entity_by_id(rel.arg1)
-            gene = doc.entity_by_id(rel.arg2)
-            out.add((doc.doc_id, chem.char_start, chem.char_end,
-                     gene.char_start, gene.char_end, rel.cpr_group))
-    return out
+    return {_relation_key(doc, rel.arg1, rel.arg2, rel.cpr_group)
+            for doc in docs for rel in doc.relations if rel.eval_flag}
+
+
+def lost_gold_keys(report: LossReport,
+                   docs: Sequence[Document]) -> Tuple[Set[EntityKey], Set[RelationKey]]:
+    """A loss report's lost annotations as the keys `gold_*_set` gives them.
+
+    Lost annotations that share offsets and type share one key, so a set can
+    hold fewer keys than the report counts; `score` counts losses per key.
+    """
+    by_id = {doc.doc_id: doc for doc in docs}
+    entities = {_entity_key(by_id[doc_id], by_id[doc_id].entity_by_id(entity_id))
+                for doc_id, entity_id, _reason in report.lost_entity_ids}
+    relations = {_relation_key(by_id[doc_id], arg1, arg2, group)
+                 for doc_id, arg1, arg2, group, _reason in report.lost_relation_keys}
+    return entities, relations
 
 
 def predicted_entity_set(mentions: Iterable[SpanMention]) -> Set[EntityKey]:

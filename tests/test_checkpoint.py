@@ -111,6 +111,15 @@ def test_corrupt_checkpoint_is_one_error_line(tmp_path, capsys, case, kind):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("kind", ["ner", "re"])
+def test_oversized_config_blob_is_a_checkpoint_error(tmp_path, kind):
+    ckpt = tmp_path / "oversized.ckpt"
+    ckpt.write_bytes(with_meta(valid_bytes(tmp_path, kind),
+                               lambda m: m["config"]["encoder"].update(buckets=10 ** 12)))
+    with pytest.raises(CheckpointError, match="encoder.buckets"):
+        (load_ner_model if kind == "ner" else load_re_model)(ckpt)
+
+
 @pytest.fixture(scope="module")
 def valid_checkpoints(tmp_path_factory):
     directory = tmp_path_factory.mktemp("checkpoints")

@@ -19,6 +19,8 @@ from chemspan.microcorpus import build_micro_corpus
 from chemspan.ner import NerModel
 from chemspan.relation import RelationModel
 
+from test_scoring import twin_documents
+
 
 def small_config_dict():
     return {
@@ -172,6 +174,32 @@ def test_score_with_loss_report_matches_plain_scoring(tmp_path, capsys):
                  "--loss-report", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "counts\ttp=1 fp=0 fn=1 lost=1" in out
+
+
+@pytest.mark.parametrize("task, records", [
+    ("ner", "dclean\t0\t0\t0\tCHEMICAL\t0.990000\ndclean\t0\t2\t3\tGENE\t0.980000\n"),
+    ("re", "dclean\t0\t0\t2\t3\tCPR:4\t0.900000\t0\t7\t17\t21\n"),
+])
+def test_loss_report_with_twin_lost_entities_is_not_stale(tmp_path, capsys, task, records):
+    # two lost chemicals with the same offsets and type: 2 lost annotations, 1 key each
+    corpus = tmp_path / "twin"
+    save_corpus(twin_documents(), corpus)
+    report_path = tmp_path / "loss.txt"
+    assert main(["align-stats", "--corpus", str(corpus), "--report", str(report_path)]) == 0
+    assert "entities_lost\t2" in report_path.read_text()
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(records, encoding="utf-8")
+    plain_json, loss_json = tmp_path / "plain.json", tmp_path / "with_loss.json"
+    assert main(["score", "--gold", str(corpus), "--pred", str(pred), "--task", task,
+                 "--out", str(plain_json)]) == 0
+    assert main(["score", "--gold", str(corpus), "--pred", str(pred), "--task", task,
+                 "--loss-report", str(report_path), "--out", str(loss_json)]) == 0
+    assert "error" not in capsys.readouterr().err
+    plain = json.loads(plain_json.read_text())
+    with_loss = json.loads(loss_json.read_text())
+    for field in ("tp", "fp", "fn", "precision", "recall", "f1"):
+        assert plain[field] == with_loss[field], field
+    assert plain["lost"] == 0 and with_loss["lost"] == 1
 
 
 def test_stale_loss_report_is_refused(tmp_path, capsys):
@@ -388,6 +416,7 @@ BAD_CONFIGS = {
     "not an object": (b'[1, 2]', "config"),
     "malformed JSON": (b'{"ner": {"epochs": 3}', "config.json"),
     "non-UTF-8 file": (b'{"ner": {"lr": "\xff"}}', "config.json"),
+    "too many parameters": (b'{"encoder": {"buckets": 1000000000000}}', "encoder.buckets"),
 }
 
 

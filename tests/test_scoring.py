@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chemspan.alignment import compute_loss_report
 from chemspan.corpus import Document, GoldEntity, GoldRelation
 from chemspan.errors import ContractViolationError, DanglingReferenceError
 from chemspan.ner import SpanMention
@@ -13,6 +14,7 @@ from chemspan.scoring import (
     format_fraction,
     gold_entity_set,
     gold_relation_set,
+    lost_gold_keys,
     predicted_entity_set,
     predicted_relation_set,
     render_score_report,
@@ -21,6 +23,7 @@ from chemspan.scoring import (
 )
 
 from oracles import pairwise_prf
+from test_recoverable import corrupted_micro_corpus
 
 
 def ekey(doc="d0", start=0, end=5, etype="CHEMICAL"):
@@ -249,6 +252,60 @@ def test_e2e_scoring_against_gold_sets():
     re_rep = score_re(gold_relation_set([doc]),
                       predicted_relation_set([RelationPrediction("d9", 0, chem, gene, "CPR:4", 1.0)]))
     assert re_rep.f1 == 1.0
+
+
+def twin_documents():
+    """A clean document, and one whose two chemicals share mid-token offsets.
+
+    Each twin is in a CPR:4 relation to the same gene, so the loss report
+    counts two lost entities and two lost relations that share one key each.
+    """
+    clean_text = "Aspirin inhibits COX2 strongly."
+    clean = Document(
+        "dclean", clean_text, "", clean_text + " ",
+        entities=(GoldEntity("T1", "CHEMICAL", 0, 7, "Aspirin"),
+                  GoldEntity("T2", "GENE", 17, 21, "COX2")),
+        relations=(GoldRelation("CPR:4", True, "T1", "T2"),))
+    twin_text = "Cells were differentiated with retinoic acid and TPA."
+    twin = Document(
+        "dtwin", twin_text, "", twin_text + " ",
+        entities=(GoldEntity("T1", "CHEMICAL", 33, 44, "tinoic acid"),
+                  GoldEntity("T2", "CHEMICAL", 33, 44, "tinoic acid"),
+                  GoldEntity("T3", "GENE", 49, 52, "TPA")),
+        relations=(GoldRelation("CPR:4", True, "T1", "T3"),
+                   GoldRelation("CPR:4", True, "T2", "T3")))
+    return [clean, twin]
+
+
+def test_lost_gold_keys_are_the_keys_gate_09_builds():
+    docs = corrupted_micro_corpus()
+    loss = compute_loss_report(docs)
+    # the inline mapping of gate 09, kept here as an independent oracle
+    by_id = {d.doc_id: d for d in docs}
+    expected_entities = set()
+    for doc_id, entity_id, _reason in loss.lost_entity_ids:
+        e = by_id[doc_id].entity_by_id(entity_id)
+        expected_entities.add((doc_id, e.char_start, e.char_end, e.etype))
+    expected_relations = set()
+    for doc_id, arg1, arg2, group, _reason in loss.lost_relation_keys:
+        c = by_id[doc_id].entity_by_id(arg1)
+        g = by_id[doc_id].entity_by_id(arg2)
+        expected_relations.add((doc_id, c.char_start, c.char_end,
+                                g.char_start, g.char_end, group))
+    assert len(expected_entities) == len(expected_relations) == 3
+    entities, relations = lost_gold_keys(loss, docs)
+    assert (entities, relations) == (expected_entities, expected_relations)
+    assert entities <= gold_entity_set(docs) and relations <= gold_relation_set(docs)
+
+
+def test_lost_gold_keys_count_twin_annotations_once():
+    docs = twin_documents()
+    loss = compute_loss_report(docs)
+    entities, relations = lost_gold_keys(loss, docs)
+    assert (loss.entities_lost, loss.relations_lost) == (2, 2)
+    assert entities == {("dtwin", 33, 44, "CHEMICAL")}
+    assert relations == {("dtwin", 33, 44, 49, 52, "CPR:4")}
+    assert len(entities) < loss.entities_lost and len(relations) < loss.relations_lost
 
 
 # ---------------------------------------------------------------------------
