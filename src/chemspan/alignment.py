@@ -114,6 +114,13 @@ class LossReport:
     def relation_loss_rate(self) -> float:
         return self.relations_lost / self.relations_total if self.relations_total else 0.0
 
+    def counts(self) -> Dict[str, int]:
+        """Every count a rendered report states, under the key it is rendered with."""
+        counts = {key: getattr(self, key) for key in _REPORT_COUNTS}
+        counts.update((f"entities_lost[{t}]", n) for t, n in self.entities_lost_by_type.items())
+        counts.update((f"relations_lost[{g}]", n) for g, n in self.relations_lost_by_group.items())
+        return counts
+
 
 def align_document(view: DocView) -> Dict[str, Tuple[Optional[int], AlignedEntity]]:
     """Align every gold entity of a document.

@@ -172,8 +172,8 @@ def cmd_predict_ner(args) -> int:
     model = load_ner_model(args.ckpt)
     docs = load_corpus_dir(args.corpus)
     mentions = []
-    for example in model.prepare_documents(docs, with_labels=False):
-        mentions.extend(model.predict_mentions(example))
+    for doc in docs:
+        mentions.extend(model.predict_view(DocView.build(doc)))
     _write_lines(args.out, _entity_records(mentions))
     print(f"wrote {len(mentions)} entity records to {args.out}")
     return 0
@@ -231,15 +231,15 @@ def cmd_score(args) -> int:
     views = _views_by_doc(docs) if args.task == "ner" or args.loss_report else {}
     lost_entities, lost_relations = set(), set()
     if args.loss_report:
-        stated = parse_loss_report(Path(args.loss_report).read_bytes(), args.loss_report)
+        stated = parse_loss_report(Path(args.loss_report).read_bytes(),
+                                   args.loss_report).counts()
         loss = loss_report_of_views(views.values())
-        if (stated.entities_lost != loss.entities_lost
-                or stated.relations_lost != loss.relations_lost):
-            raise ChemspanError(
-                f"{args.loss_report} is stale: it states "
-                f"{stated.entities_lost}/{stated.relations_lost} lost "
-                f"entities/relations, the corpus has "
-                f"{loss.entities_lost}/{loss.relations_lost}")
+        counts = loss.counts()
+        stale = [f"{key} {stated.get(key, 0)} (the corpus has {counts.get(key, 0)})"
+                 for key in sorted(stated.keys() | counts.keys())
+                 if stated.get(key, 0) != counts.get(key, 0)]
+        if stale:
+            raise ChemspanError(f"{args.loss_report} is stale: it states {', '.join(stale)}")
         lost_entities, lost_relations = lost_gold_keys(loss, docs)
     if args.task == "ner":
         gold = gold_entity_set(docs) - lost_entities

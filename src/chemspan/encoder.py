@@ -46,8 +46,9 @@ def surface_bucket(surface: str, buckets: int) -> int:
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
 
 
 def _ln_forward(z, gamma, beta):
@@ -82,6 +83,7 @@ class TinyEncoder:
         self.buckets = buckets
         self.max_len = max_len
         self.seed = seed
+        self._bucket_of: Dict[str, int] = {}  # surface -> surface_bucket, filled by _rows
         rng = np.random.default_rng(seed)
         p: Params = {
             "tok_emb": rng.normal(0.0, 0.1, (buckets, dim)),
@@ -113,13 +115,17 @@ class TinyEncoder:
     def _rows(self, symbols: Sequence[str]):
         special = np.zeros(len(symbols), dtype=bool)
         idx = np.empty(len(symbols), dtype=np.int64)
+        bucket_of = self._bucket_of
         for t, s in enumerate(symbols):
             j = _SPECIAL_INDEX.get(s)
             if j is not None:
                 special[t] = True
                 idx[t] = j
             else:
-                idx[t] = surface_bucket(s, self.buckets)
+                b = bucket_of.get(s)
+                if b is None:
+                    b = bucket_of[s] = surface_bucket(s, self.buckets)
+                idx[t] = b
         return special, idx
 
     # -- forward / backward -------------------------------------------------
@@ -167,7 +173,11 @@ class TinyEncoder:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def backward(self, cache, d_out: np.ndarray, grads: Params) -> None:
-        """Accumulate parameter gradients for one sequence into ``grads``."""
+        """Accumulate parameter gradients for one sequence into ``grads``.
+
+        Reads ``cache`` and ``d_out`` without changing them, so one forward
+        pass can serve the backward passes of several outputs.
+        """
         p = self.params
         n = cache["n"]
         if n == 0:

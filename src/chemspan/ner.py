@@ -165,20 +165,36 @@ class NerModel(EncoderModel):
 
     def prepare_view(self, view: DocView, with_labels: bool = True
                      ) -> Tuple[List[NerExample], int]:
-        """One document's examples, and how many gold entities were too wide to label."""
+        """One document's examples, and how many gold entities were too wide to label.
+
+        Sentences whose windows cover the same extent of ``view.flat_surfaces``
+        share one symbols list, which the encoding passes key on by identity.
+        A sentence longer than ``max_len`` raises `OverLengthError` naming the
+        document and the sentence.
+        """
         nc = self.config.ner
         ec = self.config.encoder
+        flat = view.flat_surfaces
+        windows: Dict[Tuple[int, int], List[str]] = {}
         examples = []
         too_wide = 0
         recoverable = recoverable_entities(view) if with_labels else {}
         for k, sent in enumerate(view.sentences):
-            surfaces = [t.surface for t in view.tokens[k]]
-            if not surfaces:
+            n = len(view.tokens[k])
+            if not n:
                 continue
-            left, right = view.context(k)
-            windowed = build_windowed_input(surfaces, left, right,
-                                            nc.context_window, ec.max_len)
-            candidates = enumerate_spans(len(surfaces), nc.max_span_width, sent.sent_id)
+            if n > ec.max_len:
+                raise OverLengthError(
+                    f"document {view.doc.doc_id!r} sentence {sent.sent_id}: {n} tokens "
+                    f"exceed max_len={ec.max_len}; context can shrink, the sentence cannot")
+            lo = view.sent_flat_start[k]
+            left, right = split_context(lo, len(flat) - lo - n,
+                                        min(nc.context_window, ec.max_len - n))
+            extent = (lo - left, lo + n + right)
+            symbols = windows.get(extent)
+            if symbols is None:
+                symbols = windows[extent] = flat[extent[0]:extent[1]]
+            candidates = enumerate_spans(n, nc.max_span_width, sent.sent_id)
             labels = None
             if with_labels:
                 gold: Dict[Tuple[int, int], str] = {}
@@ -193,8 +209,8 @@ class NerModel(EncoderModel):
                     if etype is not None:
                         labels[i] = NER_LABELS.index(etype)
             examples.append(NerExample(
-                view.doc.doc_id, sent.sent_id, windowed, candidates, labels,
-                [(t.char_start, t.char_end) for t in view.tokens[k]]))
+                view.doc.doc_id, sent.sent_id, WindowedInput(symbols, left, n), candidates,
+                labels, [(t.char_start, t.char_end) for t in view.tokens[k]]))
         return examples, too_wide
 
     # -- forward / loss ------------------------------------------------------
@@ -211,21 +227,27 @@ class NerModel(EncoderModel):
     def _logits(self, reps: np.ndarray) -> np.ndarray:
         return reps @ self.head["ner.w"] + self.head["ner.b"]
 
-    def classify_spans(self, example: NerExample) -> List[Tuple[SpanCandidate, str, float]]:
-        """Argmax label and its probability for every candidate span."""
+    def classify_spans(self, example: NerExample, encoding: Optional[np.ndarray] = None
+                       ) -> List[Tuple[SpanCandidate, str, float]]:
+        """Argmax label and its probability for every candidate span.
+
+        ``encoding`` is the encoder output for ``example.windowed.symbols``,
+        when the caller has it already; without it the window is encoded here.
+        """
         if not example.candidates:
             return []
-        h = self.encoder.encode(example.windowed.symbols)
+        h = self.encoder.encode(example.windowed.symbols) if encoding is None else encoding
         reps, *_ = self._span_reps(example, h)
         probs = _softmax_rows(self._logits(reps))
         picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
         return [(c, NER_LABELS[picks[i]], float(probs[i, picks[i]]))
                 for i, c in enumerate(example.candidates)]
 
-    def predict_mentions(self, example: NerExample) -> List[SpanMention]:
+    def predict_mentions(self, example: NerExample, encoding: Optional[np.ndarray] = None
+                         ) -> List[SpanMention]:
         """Non-null candidates as typed mentions with character offsets."""
         mentions = []
-        for candidate, label, prob in self.classify_spans(example):
+        for candidate, label, prob in self.classify_spans(example, encoding):
             if label == "null":
                 continue
             mentions.append(SpanMention(
@@ -236,17 +258,39 @@ class NerModel(EncoderModel):
                 prob))
         return mentions
 
+    def predict_view(self, view: DocView) -> List[SpanMention]:
+        """One document's predicted mentions in sentence order, each window encoded once."""
+        encodings: Dict[int, np.ndarray] = {}  # id of a window's symbols -> its encoding
+        mentions = []
+        for example in self.prepare_view(view, with_labels=False)[0]:
+            symbols = example.windowed.symbols
+            h = encodings.get(id(symbols))
+            if h is None:
+                h = encodings[id(symbols)] = self.encoder.encode(symbols)
+            mentions.extend(self.predict_mentions(example, h))
+        return mentions
+
     def loss_and_grads(self, batch: Sequence[NerExample]):
-        """Mean cross-entropy over every candidate span in the batch."""
+        """Mean cross-entropy over every candidate span in the batch.
+
+        Examples sharing a window share one forward pass; each example runs
+        its own backward, in batch order, and a window's cache is dropped
+        after its last example.
+        """
         grads = self.zero_grads()
         total_spans = sum(len(ex.candidates) for ex in batch)
         if total_spans == 0:
             return 0.0, grads
+        last_use = {id(ex.windowed.symbols): i for i, ex in enumerate(batch) if ex.candidates}
+        forwards: Dict[int, tuple] = {}  # id of a window's symbols -> (h, cache)
         loss = 0.0
-        for ex in batch:
+        for i, ex in enumerate(batch):
             if not ex.candidates:
                 continue
-            h, cache = self.encoder.forward(ex.windowed.symbols)
+            key = id(ex.windowed.symbols)
+            if key not in forwards:
+                forwards[key] = self.encoder.forward(ex.windowed.symbols)
+            h, cache = forwards.pop(key) if last_use[key] == i else forwards[key]
             reps, starts, ends, widths = self._span_reps(ex, h)
             probs = _softmax_rows(self._logits(reps))
             rows = np.arange(len(ex.candidates))

@@ -333,14 +333,13 @@ def predict_relations(model: RelationModel, view: DocView, sent_idx: int,
 def predict_view(ner_model: NerModel, re_model: RelationModel, view: DocView
                  ) -> Tuple[List[SpanMention], List[RelationPrediction]]:
     """Predicted entities of one document feed the relation classifier."""
-    examples, _ = ner_model.prepare_view(view, with_labels=False)
-    by_sent = {ex.sent_id: ner_model.predict_mentions(ex) for ex in examples}
-    all_mentions: List[SpanMention] = []
+    all_mentions = ner_model.predict_view(view)
+    by_sent: Dict[int, List[SpanMention]] = {}
+    for m in all_mentions:
+        by_sent.setdefault(m.sent_id, []).append(m)
     all_relations: List[RelationPrediction] = []
     for k, sent in enumerate(view.sentences):
-        mentions = by_sent.get(sent.sent_id, [])
-        all_mentions.extend(mentions)
-        all_relations.extend(predict_relations(re_model, view, k, mentions))
+        all_relations.extend(predict_relations(re_model, view, k, by_sent.get(sent.sent_id, [])))
     return all_mentions, all_relations
 
 

@@ -6,6 +6,7 @@ agreement between these oracles and the real implementations is evidence
 rather than tautology.
 """
 
+import dataclasses
 import math
 
 
@@ -120,3 +121,67 @@ def first_uncovered_offset(text, intervals):
         if not ch.isspace() and not covered[i]:
             return i
     return None
+
+
+# ---------------------------------------------------------------------------
+# per-sentence NER window oracle: every sentence builds and encodes its own window
+
+def sentence_window(flat, lo, hi, budget, max_len):
+    """The NER window of the sentence flat[lo:hi], built for that sentence alone.
+
+    Returns (symbols, offset of the sentence in them). Context is added one
+    token at a time: up to half the budget on the left, the rest (and the odd
+    token) on the right, then what one side could not use goes to the other,
+    right first. The budget shrinks so that the window fits max_len.
+    """
+    quota = max(0, min(budget, max_len - (hi - lo)))
+    start, end = lo, hi
+    for _ in range(quota // 2):
+        if start > 0:
+            start -= 1
+    for _ in range(quota - quota // 2):
+        if end < len(flat):
+            end += 1
+    spare = quota - (lo - start) - (end - hi)
+    while spare and end < len(flat):
+        end += 1
+        spare -= 1
+    while spare and start > 0:
+        start -= 1
+        spare -= 1
+    return list(flat[start:end]), lo - start
+
+
+def predict_per_sentence(ner_model, re_model, views, predict_relations):
+    """The end-to-end prediction with one NER window built and encoded per sentence.
+
+    Each sentence of each view gets a fresh window from `sentence_window`,
+    which ``ner_model.predict_mentions`` encodes on its own;
+    ``predict_relations(re_model, view, k, mentions)`` classifies the pairs
+    of sentence k. Returns (mentions, relations) in document order.
+    """
+    budget = ner_model.config.ner.context_window
+    max_len = ner_model.config.encoder.max_len
+    mentions, relations = [], []
+    for view in views:
+        examples = {ex.sent_id: ex
+                    for ex in ner_model.prepare_view(view, with_labels=False)[0]}
+        for k, sent in enumerate(view.sentences):
+            found = []
+            if sent.sent_id in examples:
+                ex = examples[sent.sent_id]
+                lo = view.sent_flat_start[k]
+                symbols, offset = sentence_window(view.flat_surfaces, lo,
+                                                  lo + len(view.tokens[k]), budget, max_len)
+                own = dataclasses.replace(ex, windowed=dataclasses.replace(
+                    ex.windowed, symbols=symbols, sent_offset=offset))
+                found = ner_model.predict_mentions(own)
+            mentions.extend(found)
+            relations.extend(predict_relations(re_model, view, k, found))
+    return mentions, relations
+
+
+def unshared_windows(examples):
+    """Copies of NER examples in which no two share a symbols list, so each encodes alone."""
+    return [dataclasses.replace(ex, windowed=dataclasses.replace(
+        ex.windowed, symbols=list(ex.windowed.symbols))) for ex in examples]

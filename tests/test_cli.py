@@ -215,6 +215,57 @@ def test_stale_loss_report_is_refused(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits", [
+    {"entities_total": "999", "relations_total": "0"},
+    {"entities_total": "999"},
+    {"relations_total": "0"},
+    {"entities_lost[CHEMICAL]": "1", "entities_lost[GENE]": "1"},
+    {"relations_lost[CPR:4]": "1", "relations_lost[CPR:9]": "1"},
+], ids=["both-totals", "entities-total", "relations-total", "by-type", "by-group"])
+def test_loss_report_with_any_wrong_count_is_stale(tmp_path, capsys, edits):
+    # the lost totals stay right, so only the other counts can tell the report is stale
+    corpus = tmp_path / "twin"
+    save_corpus(twin_documents(), corpus)
+    report_path = tmp_path / "loss.txt"
+    assert main(["align-stats", "--corpus", str(corpus), "--report", str(report_path)]) == 0
+    rows = dict(line.split("\t") for line in report_path.read_text().splitlines())
+    rows.update(edits)
+    report_path.write_text("".join(f"{k}\t{v}\n" for k, v in rows.items()), encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["score", "--gold", str(corpus), "--pred", str(pred), "--task", "re",
+               "--loss-report", str(report_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "stale" in err[0]
+    for key in edits:
+        assert key in err[0]
+
+
+def test_sentence_longer_than_max_len_is_one_error_naming_document_and_sentence(
+        tmp_path, micro_dir, capsys):
+    from chemspan.alignment import DocView
+    from chemspan.corpus import load_corpus_dir
+
+    cfg = tiny_cfg()
+    cfg.encoder.max_len = 8
+    ckpt = tmp_path / "ner.ckpt"
+    save_ner_model(ckpt, NerModel(cfg, seed=0))
+    views = [DocView.build(doc) for doc in load_corpus_dir(micro_dir)]
+    doc_id, sent_id = next((v.doc.doc_id, sent.sent_id) for v in views
+                           for sent, tokens in zip(v.sentences, v.tokens) if len(tokens) > 8)
+    out = tmp_path / "ents.tsv"
+    capsys.readouterr()
+    assert main(["predict-ner", "--ckpt", str(ckpt), "--corpus", str(micro_dir),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"document {doc_id!r} sentence {sent_id}:" in err[0]
+    assert "max_len=8" in err[0]
+    assert not out.exists()
+
+
 def test_checkpoint_kind_mismatch_is_an_error(tmp_path, micro_dir, capsys):
     cfg = PipelineConfig(
         encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=64, max_len=64),

@@ -8,6 +8,7 @@ from chemspan.encoder import (
     SPECIAL_SYMBOLS,
     Adam,
     TinyEncoder,
+    _softmax_rows,
     encoder_grad_check,
     grad_check,
     surface_bucket,
@@ -82,6 +83,19 @@ def test_unknown_surfaces_are_accepted():
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def test_in_place_softmax_equals_the_allocating_formula_bitwise():
+    rng = np.random.default_rng(0)
+    shapes = [(1,), (6,), (1, 1), (3, 6), (17, 3), (64, 64), (286, 286), (2, 5, 7)]
+    shapes += [tuple(rng.integers(1, 40, size=rng.integers(1, 3))) for _ in range(35)]
+    for shape in shapes:
+        scores = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), shape)
+        given = scores.copy()
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        assert np.array_equal(_softmax_rows(scores), e / e.sum(axis=-1, keepdims=True)), shape
+        assert np.array_equal(scores, given), shape  # the input is left alone
 
 
 def test_analytic_gradients_match_finite_differences():

@@ -1,0 +1,166 @@
+"""NER windows are shared objects: each distinct window is encoded once."""
+
+import numpy as np
+import pytest
+
+import chemspan.encoder
+from chemspan.alignment import DocView
+from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationConfig
+from chemspan.corpus import Document
+from chemspan.encoder import SPECIAL_SYMBOLS, TinyEncoder
+from chemspan.microcorpus import load_micro_corpus
+from chemspan.ner import NerModel, train_ner
+from chemspan.relation import (
+    RelationModel,
+    generate_pairs,
+    predict_e2e,
+    predict_relations,
+    predict_view,
+)
+
+from oracles import predict_per_sentence, sentence_window, unshared_windows
+
+
+def window_ids(examples):
+    return {id(ex.windowed.symbols) for ex in examples}
+
+
+def long_document():
+    """Twelve sentences of 6 to 18 tokens, far longer than the windows below."""
+    sentences = []
+    for k in range(12):
+        words = " ".join("word" + "abcdefghijkl"[j] for j in range(1 + (5 * k) % 12))
+        sentences.append(f"Aspirin {words} inhibits COX{k}.")
+    text = " ".join(sentences)
+    return Document("dlong", text, "", text + " ")
+
+
+def small_config(context_window, max_len=48):
+    return PipelineConfig(
+        encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=64, max_len=max_len),
+        ner=NerConfig(context_window=context_window, max_span_width=3, width_dim=4),
+        relation=RelationConfig(context_window=6, head_hidden=8))
+
+
+def test_micro_corpus_has_fifty_examples_over_ten_windows():
+    examples = NerModel(PipelineConfig(), seed=0).prepare_documents(load_micro_corpus())
+    assert len(examples) == 50
+    assert len(window_ids(examples)) == 10
+
+
+@pytest.mark.parametrize("context_window", [0, 5, 20, 300])
+def test_windows_are_shared_exactly_when_their_extents_agree(context_window):
+    cfg = small_config(context_window)
+    view = DocView.build(long_document())
+    examples, _ = NerModel(cfg, seed=0).prepare_view(view, with_labels=False)
+    by_extent = {}
+    for k, ex in enumerate(examples):
+        lo = view.sent_flat_start[k]
+        symbols, offset = sentence_window(view.flat_surfaces, lo, lo + len(view.tokens[k]),
+                                          context_window, cfg.encoder.max_len)
+        assert (ex.windowed.symbols, ex.windowed.sent_offset) == (symbols, offset)
+        by_extent.setdefault((lo - offset, lo - offset + len(symbols)), set()).add(
+            id(ex.windowed.symbols))
+    assert all(len(ids) == 1 for ids in by_extent.values())
+    assert len(window_ids(examples)) == len(by_extent)
+
+
+@pytest.fixture
+def counted_forward(monkeypatch):
+    calls = []
+    original = TinyEncoder.forward
+
+    def forward(self, symbols):
+        calls.append(len(symbols))
+        return original(self, symbols)
+
+    monkeypatch.setattr(TinyEncoder, "forward", forward)
+    return calls
+
+
+@pytest.mark.parametrize("doc, cfg", [
+    (load_micro_corpus()[0], small_config(300, max_len=128)),
+    (long_document(), small_config(300)),
+], ids=["micro", "long"])
+def test_predict_view_encodes_each_window_once_and_each_pair_once(doc, cfg, counted_forward):
+    ner, re_model = NerModel(cfg, seed=1), RelationModel(cfg, seed=1)
+    view = DocView.build(doc)
+    examples, _ = ner.prepare_view(view, with_labels=False)
+    counted_forward.clear()
+    mentions, _ = predict_view(ner, re_model, view)
+    by_sent = {}
+    for m in mentions:
+        by_sent.setdefault(m.sent_id, []).append(m)
+    pairs = sum(len(generate_pairs(ms)) for ms in by_sent.values())
+    assert pairs > 0 and len(window_ids(examples)) < len(examples)
+    assert len(counted_forward) == len(window_ids(examples)) + pairs
+
+
+def test_training_batch_runs_one_forward_per_window_and_one_backward_per_example(
+        counted_forward, monkeypatch):
+    backwards = []
+    original = TinyEncoder.backward
+
+    def backward(self, cache, d_out, grads):
+        backwards.append(cache["n"])
+        original(self, cache, d_out, grads)
+
+    monkeypatch.setattr(TinyEncoder, "backward", backward)
+    model = NerModel(PipelineConfig(), seed=0)
+    examples = model.prepare_documents(load_micro_corpus())
+    counted_forward.clear()
+    model.loss_and_grads(examples)
+    assert len(counted_forward) == 10
+    assert backwards == [len(ex.windowed.symbols) for ex in examples]
+
+
+@pytest.mark.parametrize("docs, config", [
+    (load_micro_corpus(), small_config(300, max_len=128)),
+    ([long_document()], small_config(20)),
+    ([long_document()], small_config(300)),
+    ([long_document()], small_config(300, max_len=128)),
+], ids=["micro", "long-unshared", "long-max-len-48", "long-max-len-128"])
+def test_predict_e2e_equals_the_per_sentence_oracle(docs, config):
+    # untrained models label many spans, so there are mentions and pairs to compare
+    ner, re_model = NerModel(config, seed=2), RelationModel(config, seed=2)
+    got = predict_e2e(ner, re_model, docs)
+    want = predict_per_sentence(ner, re_model, [DocView.build(d) for d in docs],
+                                predict_relations)
+    assert got[0] and got[1]
+    assert got == want  # probabilities included, compared with ==
+
+
+def test_training_equals_the_unshared_oracle_bitwise():
+    def train(share):
+        model = NerModel(PipelineConfig(), seed=3)
+        examples = model.prepare_documents(load_micro_corpus())
+        curve = train_ner(model, examples if share else unshared_windows(examples),
+                          epochs=3, seed=3)
+        return curve, model.parameters()
+
+    shared_curve, shared = train(True)
+    alone_curve, alone = train(False)
+    assert shared_curve == alone_curve
+    assert shared.keys() == alone.keys()
+    for key in shared:
+        assert np.array_equal(shared[key], alone[key]), key
+
+
+def test_each_surface_is_hashed_once_per_encoder(monkeypatch):
+    hashed = []
+    original = chemspan.encoder.surface_bucket
+
+    def surface_bucket(surface, buckets):
+        hashed.append(surface)
+        return original(surface, buckets)
+
+    monkeypatch.setattr(chemspan.encoder, "surface_bucket", surface_bucket)
+    symbols = [SPECIAL_SYMBOLS[0], "a", "b", "a", SPECIAL_SYMBOLS[1], "c", "b"]
+    first, second = (TinyEncoder(dim=8, blocks=1, buckets=13, max_len=16, seed=0)
+                     for _ in range(2))
+    h = first.encode(symbols)
+    first.encode(symbols[::-1])
+    assert sorted(hashed) == ["a", "b", "c"]
+    second.encode(symbols)
+    assert sorted(hashed) == ["a", "a", "b", "b", "c", "c"]
+    assert np.array_equal(second.encode(symbols), h)
