@@ -84,6 +84,8 @@ class TinyEncoder:
         self.max_len = max_len
         self.seed = seed
         self._bucket_of: Dict[str, int] = {}  # surface -> surface_bucket, filled by _rows
+        self._bucket_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_bucket_of), its buckets)
+        self._longest = 0  # longest input forward has seen
         rng = np.random.default_rng(seed)
         p: Params = {
             "tok_emb": rng.normal(0.0, 0.1, (buckets, dim)),
@@ -128,6 +130,22 @@ class TinyEncoder:
                 idx[t] = b
         return special, idx
 
+    @property
+    def touched_rows(self) -> Dict[str, object]:
+        """The embedding rows a backward pass can have written, for `Adam.step`.
+
+        Each hashed row backward writes is the bucket of a surface `_rows`
+        hashed, and each position row is below the longest input seen. Once
+        half the buckets are hashed, gathering them costs more than stepping
+        the whole table, so the whole table is given.
+        """
+        if self._bucket_rows[0] != len(self._bucket_of):
+            self._bucket_rows = (len(self._bucket_of), np.unique(
+                np.fromiter(self._bucket_of.values(), np.int64, len(self._bucket_of))))
+        buckets = self._bucket_rows[1]
+        return {"tok_emb": buckets if 2 * len(buckets) < self.buckets else slice(None),
+                "pos_emb": slice(0, self._longest)}
+
     # -- forward / backward -------------------------------------------------
 
     def forward(self, symbols: Sequence[str]):
@@ -139,6 +157,7 @@ class TinyEncoder:
                 "shrink the context window")
         if n == 0:
             return np.zeros((0, self.dim)), {"n": 0, "block": []}
+        self._longest = max(self._longest, n)
         p = self.params
         special, idx = self._rows(symbols)
         x = np.empty((n, self.dim))
@@ -226,7 +245,14 @@ class TinyEncoder:
 
 
 class Adam:
-    """Plain Adam over a name -> array parameter dict."""
+    """Plain Adam over a name -> array parameter dict.
+
+    ``step``'s optional ``rows`` maps a parameter name to the rows of it to
+    step (an index array or a slice), as `TinyEncoder.touched_rows` gives;
+    other parameters are stepped whole. A row left out must never have had a
+    gradient, so that its update would be exactly 0 and the step is bitwise a
+    dense one; a row that has had one is stepped even when it gets none.
+    """
 
     def __init__(self, params: Params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -238,19 +264,21 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: Params) -> None:
+    def step(self, grads: Params, rows: Optional[Dict[str, object]] = None) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for key, p in self.params.items():
-            g = grads[key]
-            m = self.m[key]
-            v = self.v[key]
+        rows = rows or {}
+        for key, p_all in self.params.items():
+            sel = rows.get(key, slice(None))
+            p, g, m, v = p_all[sel], grads[key][sel], self.m[key][sel], self.v[key][sel]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            if not isinstance(sel, slice):  # an index array gathered copies
+                p_all[sel], self.m[key][sel], self.v[key][sel] = p, m, v
 
 
 class EncoderModel:
@@ -288,7 +316,8 @@ class EncoderModel:
         and ``lr`` stand in for arguments left as None. Each batch's mean
         loss counts ``weight(batch)`` times in its epoch's mean. Zero epochs
         is a no-op that leaves the model untouched. Any non-finite loss
-        aborts immediately with the epoch and step in the error.
+        aborts immediately with the epoch, the step, the last finite epoch
+        loss and the batch's gradient norm in the error.
         """
         if not labeled:
             log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
@@ -306,11 +335,13 @@ class EncoderModel:
                 batch = [labeled[i] for i in order[lo:lo + batch_size]]
                 loss, grads = self.loss_and_grads(batch)
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch, step, loss)
+                    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                    raise TrainingDivergedError(epoch, step, loss,
+                                                curve[-1] if curve else None, norm)
                 n = weight(batch)
                 epoch_loss += loss * n
                 total += n
-                opt.step(grads)
+                opt.step(grads, self.encoder.touched_rows)
             curve.append(epoch_loss / max(total, 1))
         return curve
 

@@ -34,12 +34,20 @@ class OverLengthError(ChemspanError):
 
 
 class TrainingDivergedError(ChemspanError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite.
 
-    def __init__(self, epoch, step, value):
+    ``last_loss`` is the last finite epoch mean loss, or None before the first
+    epoch ends; ``grad_norm`` is the global L2 norm of the diverging batch's
+    gradients.
+    """
+
+    def __init__(self, epoch, step, value, last_loss=None, grad_norm=None):
         self.epoch = epoch
         self.step = step
-        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, step {step}")
+        self.last_loss = last_loss
+        self.grad_norm = grad_norm
+        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, step {step}; "
+                         f"last finite epoch loss {last_loss!r}, gradient norm {grad_norm!r}")
 
 
 class NonFiniteError(ChemspanError):

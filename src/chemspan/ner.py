@@ -9,6 +9,7 @@ and the relation stage depends on them.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,6 +128,18 @@ class NerExample:
     labels: Optional[np.ndarray]  # int per candidate, or None at predict time
     token_chars: List[Tuple[int, int]]  # per sentence token, absolute offsets
 
+    @cached_property
+    def span_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Window-relative start and end token, and width - 1, of each candidate.
+
+        Built on first use and kept, so ``windowed`` and ``candidates`` must
+        not change after it.
+        """
+        off = self.windowed.sent_offset
+        return (np.fromiter((off + c.token_start for c in self.candidates), np.int64),
+                np.fromiter((off + c.token_end for c in self.candidates), np.int64),
+                np.fromiter((c.width - 1 for c in self.candidates), np.int64))
+
 
 class NerModel(EncoderModel):
     """Span classifier over a trainable encoder."""
@@ -215,14 +228,10 @@ class NerModel(EncoderModel):
 
     # -- forward / loss ------------------------------------------------------
 
-    def _span_reps(self, example: NerExample, h: np.ndarray):
-        off = example.windowed.sent_offset
-        starts = np.fromiter((off + c.token_start for c in example.candidates), dtype=np.int64)
-        ends = np.fromiter((off + c.token_end for c in example.candidates), dtype=np.int64)
-        widths = np.fromiter((c.width - 1 for c in example.candidates), dtype=np.int64)
-        reps = np.concatenate(
+    def _span_reps(self, example: NerExample, h: np.ndarray) -> np.ndarray:
+        starts, ends, widths = example.span_index
+        return np.concatenate(
             [h[starts], h[ends], self.head["ner.width_emb"][widths]], axis=1)
-        return reps, starts, ends, widths
 
     def _logits(self, reps: np.ndarray) -> np.ndarray:
         return reps @ self.head["ner.w"] + self.head["ner.b"]
@@ -237,7 +246,7 @@ class NerModel(EncoderModel):
         if not example.candidates:
             return []
         h = self.encoder.encode(example.windowed.symbols) if encoding is None else encoding
-        reps, *_ = self._span_reps(example, h)
+        reps = self._span_reps(example, h)
         probs = _softmax_rows(self._logits(reps))
         picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
         return [(c, NER_LABELS[picks[i]], float(probs[i, picks[i]]))
@@ -291,7 +300,7 @@ class NerModel(EncoderModel):
             if key not in forwards:
                 forwards[key] = self.encoder.forward(ex.windowed.symbols)
             h, cache = forwards.pop(key) if last_use[key] == i else forwards[key]
-            reps, starts, ends, widths = self._span_reps(ex, h)
+            reps = self._span_reps(ex, h)
             probs = _softmax_rows(self._logits(reps))
             rows = np.arange(len(ex.candidates))
             loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
@@ -302,6 +311,7 @@ class NerModel(EncoderModel):
             grads["ner.b"] += dlogits.sum(axis=0)
             dreps = dlogits @ self.head["ner.w"].T
             d = self.encoder.dim
+            starts, ends, widths = ex.span_index
             dh = np.zeros_like(h)
             np.add.at(dh, starts, dreps[:, :d])
             np.add.at(dh, ends, dreps[:, d:2 * d])

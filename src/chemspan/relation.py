@@ -25,6 +25,7 @@ from .encoder import (
     EncoderModel,
     _softmax_rows,
 )
+from .errors import OverLengthError
 from .ner import NerModel, SpanMention, build_windowed_input
 
 RELATION_LABELS = ("null", "CPR:3", "CPR:4", "CPR:5", "CPR:6", "CPR:9")
@@ -293,11 +294,24 @@ def gold_training_instances(model: RelationModel, docs: Sequence[Document]
 
 def prediction_instances(model: RelationModel, view: DocView, sent_idx: int,
                          mentions: Sequence[SpanMention]) -> List[RelationInstance]:
+    """Every chemical-gene pair of one sentence's mentions, as an instance.
+
+    A sentence too long for ``max_len`` once markers and ``[CLS]`` are added
+    raises `OverLengthError` naming the document and the sentence.
+    """
     surfaces = [t.surface for t in view.tokens[sent_idx]]
     left, right = view.context(sent_idx)
-    return [model.build_instance(view.doc.doc_id, view.sentences[sent_idx].sent_id,
-                                 surfaces, left, right, chem, gene)
-            for chem, gene in generate_pairs(mentions)]
+    sent_id = view.sentences[sent_idx].sent_id
+    try:
+        return [model.build_instance(view.doc.doc_id, sent_id, surfaces, left, right,
+                                     chem, gene)
+                for chem, gene in generate_pairs(mentions)]
+    except OverLengthError as exc:
+        raise OverLengthError(
+            f"document {view.doc.doc_id!r} sentence {sent_id}: {len(surfaces)} tokens "
+            f"+ 4 markers + {CLS_SYMBOL} exceed max_len={model.config.encoder.max_len}; "
+            "a relation instance needs 5 symbols more than NER, and context can shrink, "
+            "the sentence cannot") from exc
 
 
 def train_re(model: RelationModel, instances: Sequence[RelationInstance],

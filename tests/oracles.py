@@ -9,6 +9,8 @@ rather than tautology.
 import dataclasses
 import math
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # tokenization oracle: explicit character scanner
@@ -185,3 +187,33 @@ def unshared_windows(examples):
     """Copies of NER examples in which no two share a symbols list, so each encodes alone."""
     return [dataclasses.replace(ex, windowed=dataclasses.replace(
         ex.windowed, symbols=list(ex.windowed.symbols))) for ex in examples]
+
+
+# ---------------------------------------------------------------------------
+# optimizer oracle: Adam over every entry of every parameter on every step
+
+class DenseAdam:
+    """Adam that steps every entry of every parameter array on every step.
+
+    ``step`` accepts the rows argument of the real optimizer and ignores it,
+    so the oracle can stand in for it inside training. The arithmetic is the
+    same per entry and in the same order, so agreement is bitwise.
+    """
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {key: np.zeros(value.shape) for key, value in params.items()}
+        self.v = {key: np.zeros(value.shape) for key, value in params.items()}
+
+    def step(self, grads, rows=None):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for key in self.params:
+            g = grads[key]
+            self.m[key] = self.m[key] * self.beta1 + (1.0 - self.beta1) * g
+            self.v[key] = self.v[key] * self.beta2 + (1.0 - self.beta2) * g * g
+            self.params[key] -= (self.lr * (self.m[key] / b1c)
+                                 / (np.sqrt(self.v[key] / b2c) + self.eps))

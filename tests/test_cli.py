@@ -266,6 +266,40 @@ def test_sentence_longer_than_max_len_is_one_error_naming_document_and_sentence(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, max_len", [("predict-re", 10), ("train-re", 14)])
+def test_relation_sentence_too_long_is_one_error_naming_document_and_sentence(
+        tmp_path, micro_dir, capsys, command, max_len):
+    from chemspan.alignment import DocView
+    from chemspan.corpus import load_corpus_dir
+    from chemspan.relation import generate_pairs, recoverable_gold_mentions
+
+    # the first sentence with a gold pair that, with 4 markers and [CLS], exceeds max_len
+    views = [DocView.build(doc) for doc in load_corpus_dir(micro_dir)]
+    doc_id, sent_id, n = next(
+        (v.doc.doc_id, v.sentences[k].sent_id, len(v.tokens[k])) for v in views
+        for k, id_mentions in recoverable_gold_mentions(v).items()
+        if generate_pairs([m for _, m in id_mentions]) and len(v.tokens[k]) + 5 > max_len)
+    out = tmp_path / "out"
+    if command == "predict-re":
+        cfg = tiny_cfg()
+        cfg.encoder.max_len = max_len
+        ckpt = tmp_path / "re.ckpt"
+        save_re_model(ckpt, RelationModel(cfg, seed=0))
+        argv = ["predict-re", "--ckpt", str(ckpt)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"encoder": {"max_len": max_len}}), encoding="utf-8")
+        argv = ["train-re", "--config", str(config)]
+    capsys.readouterr()
+    assert main(argv + ["--corpus", str(micro_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"document {doc_id!r} sentence {sent_id}: {n} tokens" in err[0]
+    assert f"max_len={max_len}" in err[0]
+    assert "5 symbols more than NER" in err[0]
+    assert not out.exists()
+
+
 def test_checkpoint_kind_mismatch_is_an_error(tmp_path, micro_dir, capsys):
     cfg = PipelineConfig(
         encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=64, max_len=64),

@@ -239,6 +239,37 @@ def test_non_finite_loss_aborts_with_diagnostics():
     assert err.value.epoch == 0
 
 
+@pytest.mark.parametrize("diverging_epoch", [0, 2])
+def test_divergence_reports_last_finite_loss_and_gradient_norm(diverging_epoch):
+    def model_and_examples():
+        model = NerModel(small_config(batch_size=1), seed=0)
+        return model, model.prepare_documents([doc_one_sentence(), doc_nested()])
+
+    reference, examples = model_and_examples()
+    steps_per_epoch = len(examples)
+    curve = train_ner(reference, examples, epochs=diverging_epoch, seed=0)
+    model, examples = model_and_examples()
+    real = model.loss_and_grads
+    batch_grads = []
+
+    def loss_and_grads(batch):
+        loss, grads = real(batch)
+        batch_grads.append(grads)
+        # the loss alone goes non-finite; the gradients stay finite
+        return (float("inf") if len(batch_grads) > diverging_epoch * steps_per_epoch
+                else loss), grads
+
+    model.loss_and_grads = loss_and_grads
+    with pytest.raises(TrainingDivergedError) as err:
+        train_ner(model, examples, epochs=diverging_epoch + 1, seed=0)
+    assert (err.value.epoch, err.value.step) == (diverging_epoch, 0)
+    assert err.value.last_loss == (curve[-1] if curve else None)
+    squares = sum(float(x) * float(x) for g in batch_grads[-1].values() for x in g.flat)
+    assert err.value.grad_norm == pytest.approx(squares ** 0.5, rel=1e-12)
+    assert err.value.grad_norm > 0.0
+    assert f"gradient norm {err.value.grad_norm!r}" in str(err.value)
+
+
 def test_gold_wider_than_span_limit_is_not_supervised():
     text = "a-b-c-d-e-f-g-h-i rest"
     wide = GoldEntity("T1", "GENE", 0, 17, "a-b-c-d-e-f-g-h-i")  # 17 tokens

@@ -9,7 +9,7 @@ from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationCo
 from chemspan.corpus import Document
 from chemspan.encoder import SPECIAL_SYMBOLS, TinyEncoder
 from chemspan.microcorpus import load_micro_corpus
-from chemspan.ner import NerModel, train_ner
+from chemspan.ner import NerModel, SpanCandidate, train_ner
 from chemspan.relation import (
     RelationModel,
     generate_pairs,
@@ -63,6 +63,25 @@ def test_windows_are_shared_exactly_when_their_extents_agree(context_window):
             id(ex.windowed.symbols))
     assert all(len(ids) == 1 for ids in by_extent.values())
     assert len(window_ids(examples)) == len(by_extent)
+
+
+@pytest.mark.parametrize("docs, config", [
+    (load_micro_corpus(), PipelineConfig()),
+    *[([long_document()], small_config(budget)) for budget in (0, 5, 20, 300)],
+], ids=["micro", "long-0", "long-5", "long-20", "long-300"])
+def test_cached_span_index_equals_the_candidates_plus_the_sentence_offset(docs, config):
+    examples = NerModel(config, seed=0).prepare_documents(docs)
+    assert examples
+    for ex in examples:
+        assert type(ex.candidates) is list
+        assert all(type(c) is SpanCandidate for c in ex.candidates)
+        off = ex.windowed.sent_offset
+        starts, ends, widths = ex.span_index
+        assert starts.dtype == ends.dtype == widths.dtype == np.int64
+        assert starts.tolist() == [off + c.token_start for c in ex.candidates]
+        assert ends.tolist() == [off + c.token_end for c in ex.candidates]
+        assert widths.tolist() == [c.token_end - c.token_start for c in ex.candidates]
+        assert ex.span_index is ex.span_index  # built once per example
 
 
 @pytest.fixture

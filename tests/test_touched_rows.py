@@ -1,0 +1,107 @@
+"""Adam over the embedding rows training can touch equals Adam over every row."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import chemspan.encoder
+from chemspan.encoder import Adam, TinyEncoder, surface_bucket
+from chemspan.microcorpus import load_micro_corpus
+from chemspan.ner import NerModel, train_ner
+from chemspan.relation import RelationModel, gold_training_instances, train_re
+
+from oracles import DenseAdam
+
+BUCKETS = 16
+STEPS = 30
+
+
+def colliding_surfaces():
+    """Two different surfaces that hash to the same bucket."""
+    first_of = {}
+    for i in itertools.count():
+        surface = f"w{i}"
+        bucket = surface_bucket(surface, BUCKETS)
+        if bucket in first_of:
+            return first_of[bucket], surface
+        first_of[bucket] = surface
+
+
+def distinct_buckets(surfaces):
+    return len({surface_bucket(s, BUCKETS) for s in surfaces}) == len(surfaces)
+
+
+# each schedule maps a step to (symbols trained on, symbols only encoded)
+SCHEDULES = {
+    "gradient-only-at-step-1": lambda t: (["once", "Na", "+"] if t == 0 else ["Na", "+"], []),
+    "row-never-gets-one": lambda t: (["Na", "+"], ["seen"]),
+    "two-surfaces-one-bucket": lambda t: ([colliding_surfaces()[t % 2], "+"], []),
+    "positions-grow": lambda t: (["Na", "+", "K"] * (1 + t // 6), []),
+    "most-buckets-hashed": lambda t: ([f"w{i}" for i in range(12)], []),
+}
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_touched_row_adam_equals_dense_adam_every_step(schedule):
+    assert distinct_buckets(["once", "Na", "+", "K", "seen"])
+    enc = TinyEncoder(dim=4, blocks=1, ffn_dim=8, buckets=BUCKETS, max_len=15, seed=0)
+    initial = {k: v.copy() for k, v in enc.params.items()}
+    opt = Adam(enc.params, lr=0.05)
+    ref = DenseAdam({k: v.copy() for k, v in enc.params.items()}, lr=0.05)
+    rng = np.random.default_rng(0)
+    history = []
+    for t in range(STEPS):
+        trained, encoded_only = SCHEDULES[schedule](t)
+        enc.encode(encoded_only)
+        _, cache = enc.forward(trained)
+        grads = enc.zero_grads()
+        enc.backward(cache, rng.normal(0.0, 1.0, (len(trained), enc.dim)), grads)
+        opt.step(grads, enc.touched_rows)
+        ref.step(grads)
+        for key in enc.params:
+            np.testing.assert_array_equal(enc.params[key], ref.params[key], err_msg=key)
+            np.testing.assert_array_equal(opt.m[key], ref.m[key], err_msg=key)
+            np.testing.assert_array_equal(opt.v[key], ref.v[key], err_msg=key)
+        history.append(enc.params["tok_emb"].copy())
+
+    tok_rows = enc.touched_rows["tok_emb"]
+    if schedule == "most-buckets-hashed":
+        assert tok_rows == slice(None)
+    else:
+        assert isinstance(tok_rows, np.ndarray) and len(tok_rows) < BUCKETS
+    if schedule == "gradient-only-at-step-1":
+        row = surface_bucket("once", BUCKETS)
+        assert not np.array_equal(history[1][row], history[-1][row])  # m and v still decay
+    if schedule == "row-never-gets-one":
+        row = surface_bucket("seen", BUCKETS)
+        assert row in tok_rows
+        np.testing.assert_array_equal(enc.params["tok_emb"][row], initial["tok_emb"][row])
+        assert not opt.m["tok_emb"][row].any() and not opt.v["tok_emb"][row].any()
+    if schedule == "positions-grow":
+        assert enc.touched_rows["pos_emb"] == slice(0, 15)
+
+
+def train_three_epochs(task, seed):
+    docs = load_micro_corpus()
+    if task == "ner":
+        model = NerModel(seed=seed)
+        curve = train_ner(model, model.prepare_documents(docs), epochs=3, seed=seed)
+    else:
+        model = RelationModel(seed=seed)
+        curve = train_re(model, gold_training_instances(model, docs), epochs=3, seed=seed)
+    return model, curve
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_training_equals_training_with_dense_adam(task, seed, monkeypatch):
+    model, curve = train_three_epochs(task, seed)
+    tok_rows = model.encoder.touched_rows["tok_emb"]
+    assert isinstance(tok_rows, np.ndarray) and len(tok_rows) < model.encoder.buckets
+    monkeypatch.setattr(chemspan.encoder, "Adam", DenseAdam)
+    reference, want_curve = train_three_epochs(task, seed)
+    assert curve == want_curve
+    want = reference.parameters()
+    for key, value in model.parameters().items():
+        np.testing.assert_array_equal(value, want[key], err_msg=key)
