@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ContractViolationError, CorpusFormatError, DanglingReferenceError
+from .errors import (
+    ContractViolationError,
+    CorpusFormatError,
+    DanglingReferenceError,
+    OffsetError,
+)
 
 log = logging.getLogger(__name__)
 
@@ -444,7 +449,7 @@ def apply_corrections(doc: Document, corrections: Sequence[Tuple[str, int, int]]
         if entity_id not in by_id:
             raise DanglingReferenceError(doc.doc_id, entity_id, "correction target")
         if not (0 <= start < end <= len(doc.text)):
-            raise ValueError(
+            raise OffsetError(
                 f"correction for {doc.doc_id}/{entity_id}: [{start},{end}) "
                 f"out of bounds for text of length {len(doc.text)}")
         old = by_id[entity_id]

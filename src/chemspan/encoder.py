@@ -148,8 +148,14 @@ class TinyEncoder:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, symbols: Sequence[str]):
-        """Contextual vectors for the symbols plus the cache backward needs."""
+    def forward(self, symbols: Sequence[str], rows: Optional[Sequence[int]] = None):
+        """Contextual vectors for the symbols plus the cache backward needs.
+
+        With ``rows``, the last block computes keys and values over every
+        symbol but everything else only at those rows, and the output holds
+        one vector per row; backward refuses such a cache. The vectors equal
+        the full pass's at those rows up to the rounding of the last block.
+        """
         n = len(symbols)
         if n > self.max_len:
             raise OverLengthError(
@@ -164,16 +170,19 @@ class TinyEncoder:
         x[special] = p["special_emb"][idx[special]]
         x[~special] = p["tok_emb"][idx[~special]]
         x = x + p["pos_emb"][:n]
-        cache = {"n": n, "special": special, "idx": idx, "block": []}
+        cache = {"n": n, "special": special, "idx": idx, "block": [], "rows": rows}
+        if rows is not None and not self.blocks:
+            x = x[rows]
         scale = 1.0 / math.sqrt(self.dim)
         for b in range(self.blocks):
-            q = x @ p[f"b{b}.wq"] + p[f"b{b}.bq"]
+            xq = x[rows] if rows is not None and b == self.blocks - 1 else x
+            q = xq @ p[f"b{b}.wq"] + p[f"b{b}.bq"]
             k = x @ p[f"b{b}.wk"] + p[f"b{b}.bk"]
             v = x @ p[f"b{b}.wv"] + p[f"b{b}.bv"]
             att = _softmax_rows((q @ k.T) * scale)
             ctx = att @ v
             out = ctx @ p[f"b{b}.wo"] + p[f"b{b}.bo"]
-            r1 = x + out
+            r1 = xq + out
             h, ln1_cache = _ln_forward(r1, p[f"b{b}.ln1_g"], p[f"b{b}.ln1_b"])
             u = h @ p[f"b{b}.w1"] + p[f"b{b}.b1"]
             z = np.maximum(u, 0.0)
@@ -184,12 +193,13 @@ class TinyEncoder:
             x = y
         return x, cache
 
-    def encode(self, symbols: Sequence[str]) -> np.ndarray:
+    def encode(self, symbols: Sequence[str], rows: Optional[Sequence[int]] = None
+               ) -> np.ndarray:
         """Forward pass only; deterministic for fixed input and parameters."""
-        return self.forward(symbols)[0]
+        return self.forward(symbols, rows)[0]
 
     def zero_grads(self) -> Params:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        return {k: np.zeros(v.shape) for k, v in self.params.items()}
 
     def backward(self, cache, d_out: np.ndarray, grads: Params) -> None:
         """Accumulate parameter gradients for one sequence into ``grads``.
@@ -197,6 +207,8 @@ class TinyEncoder:
         Reads ``cache`` and ``d_out`` without changing them, so one forward
         pass can serve the backward passes of several outputs.
         """
+        if cache.get("rows") is not None:
+            raise ValueError("backward needs a forward over every row; this one had rows")
         p = self.params
         n = cache["n"]
         if n == 0:
@@ -304,7 +316,7 @@ class EncoderModel:
 
     def zero_grads(self) -> Params:
         grads = self.encoder.zero_grads()
-        grads.update({k: np.zeros_like(v) for k, v in self.head.items()})
+        grads.update({k: np.zeros(v.shape) for k, v in self.head.items()})
         return grads
 
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,

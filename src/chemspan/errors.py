@@ -25,6 +25,10 @@ class DanglingReferenceError(ChemspanError):
         super().__init__(f"document {doc_id!r}: dangling reference {ref!r}{detail}")
 
 
+class OffsetError(ChemspanError, ValueError):
+    """A character interval lies outside the text it points into."""
+
+
 class ContractViolationError(ChemspanError):
     """A pluggable component returned output that violates its contract."""
 

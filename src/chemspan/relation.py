@@ -195,15 +195,20 @@ class RelationModel(EncoderModel):
                  "o_close": [oc], "mid": instance.middle_positions}
         return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
 
-    def build_representation(self, h: np.ndarray, instance: RelationInstance) -> np.ndarray:
+    def build_representation(self, h: np.ndarray, instance: RelationInstance,
+                             rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """Concatenate the pooled pieces the configured variant asks for.
 
         The middle piece is the mean of the contextual vectors of original
         tokens strictly between the spans, and the zero vector when the
-        spans are adjacent, nested, or overlapping.
+        spans are adjacent, nested, or overlapping. With ``rows``, ``h``
+        holds only the vectors at those sorted symbol positions.
         """
-        return np.concatenate([h[pos].mean(axis=0) if pos else np.zeros(h.shape[1])
-                               for pos in self._segment_positions(instance)])
+        segments = self._segment_positions(instance)
+        if rows is not None:
+            segments = [np.searchsorted(rows, pos) for pos in segments]
+        return np.concatenate([h[pos].mean(axis=0) if len(pos) else np.zeros(h.shape[1])
+                               for pos in segments])
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -211,9 +216,13 @@ class RelationModel(EncoderModel):
         return u, z, _softmax_rows(z @ self.head["re.w2"] + self.head["re.b2"])
 
     def classify(self, instance: RelationInstance) -> Tuple[str, float]:
-        """Argmax relation label and probability for one instance."""
-        h = self.encoder.encode(instance.symbols)
-        rep = self.build_representation(h, instance)
+        """Argmax relation label and probability for one instance.
+
+        The encoder's last block runs only at the positions the variant pools.
+        """
+        rows = sorted(set().union(*self._segment_positions(instance)))
+        h = self.encoder.encode(instance.symbols, rows)
+        rep = self.build_representation(h, instance, rows)
         _, _, probs = self._head_forward(rep)
         pick = int(probs.argmax())
         return RELATION_LABELS[pick], float(probs[pick])

@@ -217,3 +217,57 @@ class DenseAdam:
             self.v[key] = self.v[key] * self.beta2 + (1.0 - self.beta2) * g * g
             self.params[key] -= (self.lr * (self.m[key] / b1c)
                                  / (np.sqrt(self.v[key] / b2c) + self.eps))
+
+
+# ---------------------------------------------------------------------------
+# encoder and relation oracles: every row through every block
+
+def _layer_norm(z, gamma, beta, eps=1e-5):
+    mu = z.mean(axis=1, keepdims=True)
+    centered = z - mu
+    var = (centered ** 2).mean(axis=1, keepdims=True)
+    return gamma * (centered * (1.0 / np.sqrt(var + eps))) + beta
+
+
+def forward_all_rows(encoder, symbols):
+    """The encoder's output at every symbol, every block over every row.
+
+    The encoder's forward arithmetic as it was before it took ``rows``, in
+    the same order, so that agreement is bitwise. Only the symbol lookup is
+    the encoder's own.
+    """
+    n = len(symbols)
+    p = encoder.params
+    special, idx = encoder._rows(symbols)
+    x = np.empty((n, encoder.dim))
+    x[special] = p["special_emb"][idx[special]]
+    x[~special] = p["tok_emb"][idx[~special]]
+    x = x + p["pos_emb"][:n]
+    scale = 1.0 / math.sqrt(encoder.dim)
+    for b in range(encoder.blocks):
+        q = x @ p[f"b{b}.wq"] + p[f"b{b}.bq"]
+        k = x @ p[f"b{b}.wk"] + p[f"b{b}.bk"]
+        v = x @ p[f"b{b}.wv"] + p[f"b{b}.bv"]
+        scores = (q @ k.T) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        r1 = x + ((att @ v) @ p[f"b{b}.wo"] + p[f"b{b}.bo"])
+        h = _layer_norm(r1, p[f"b{b}.ln1_g"], p[f"b{b}.ln1_b"])
+        f = np.maximum(h @ p[f"b{b}.w1"] + p[f"b{b}.b1"], 0.0) @ p[f"b{b}.w2"] + p[f"b{b}.b2"]
+        x = _layer_norm(h + f, p[f"b{b}.ln2_g"], p[f"b{b}.ln2_b"])
+    return x
+
+
+def classify_full(model, instance):
+    """(label index, probability) of a relation instance from a full encoding.
+
+    Every symbol goes through every block, the model's own pooling builds the
+    representation, and the head's two layers and softmax are written out.
+    """
+    rep = model.build_representation(model.encoder.encode(instance.symbols), instance)
+    head = model.head
+    logits = np.maximum(rep @ head["re.w1"] + head["re.b1"], 0.0) @ head["re.w2"] + head["re.b2"]
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
+    pick = int(probs.argmax())
+    return pick, float(probs[pick])

@@ -89,9 +89,9 @@ def counted_forward(monkeypatch):
     calls = []
     original = TinyEncoder.forward
 
-    def forward(self, symbols):
+    def forward(self, symbols, *args, **kwargs):
         calls.append(len(symbols))
-        return original(self, symbols)
+        return original(self, symbols, *args, **kwargs)
 
     monkeypatch.setattr(TinyEncoder, "forward", forward)
     return calls
