@@ -115,10 +115,12 @@ class LossReport:
         return self.relations_lost / self.relations_total if self.relations_total else 0.0
 
     def counts(self) -> Dict[str, int]:
-        """Every count a rendered report states, under the key it is rendered with."""
+        """Every count a rendered report states, under its key, in the rendered order."""
         counts = {key: getattr(self, key) for key in _REPORT_COUNTS}
-        counts.update((f"entities_lost[{t}]", n) for t, n in self.entities_lost_by_type.items())
-        counts.update((f"relations_lost[{g}]", n) for g, n in self.relations_lost_by_group.items())
+        counts.update((f"entities_lost[{t}]", n)
+                      for t, n in sorted(self.entities_lost_by_type.items()))
+        counts.update((f"relations_lost[{g}]", n)
+                      for g, n in sorted(self.relations_lost_by_group.items()))
         return counts
 
 
@@ -204,19 +206,15 @@ _REPORT_COUNTS = ("entities_total", "entities_lost", "relations_total", "relatio
 
 
 def render_loss_report(report: LossReport) -> str:
-    """Line-delimited key-value form, stable ordering."""
-    lines = [
-        f"entities_total\t{report.entities_total}",
-        f"entities_lost\t{report.entities_lost}",
-        f"entity_loss_rate\t{report.entity_loss_rate:.6f}",
-        f"relations_total\t{report.relations_total}",
-        f"relations_lost\t{report.relations_lost}",
-        f"relation_loss_rate\t{report.relation_loss_rate:.6f}",
-    ]
-    for etype in sorted(report.entities_lost_by_type):
-        lines.append(f"entities_lost[{etype}]\t{report.entities_lost_by_type[etype]}")
-    for group in sorted(report.relations_lost_by_group):
-        lines.append(f"relations_lost[{group}]\t{report.relations_lost_by_group[group]}")
+    """Line-delimited key-value form: `LossReport.counts`, each rate after its lost count."""
+    rates = {"entities_lost": ("entity_loss_rate", report.entity_loss_rate),
+             "relations_lost": ("relation_loss_rate", report.relation_loss_rate)}
+    lines = []
+    for key, count in report.counts().items():
+        lines.append(f"{key}\t{count}")
+        if key in rates:
+            name, rate = rates[key]
+            lines.append(f"{name}\t{rate:.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ every FP and FN separately, while ``re_errors_joint`` counts the FP+FN pair
 born from a single confusion event once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .corpus import Document, EVAL_GROUPS, is_eval_group
@@ -66,25 +66,13 @@ class ErrorBreakdown:
     spurious_fp_items: List[RelationKey] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "re_errors_total": self.re_errors_total,
-            "re_errors_joint": self.re_errors_joint,
-            "re_errors_ner_caused": self.re_errors_ner_caused,
-            "fn_total": self.fn_total,
-            "fp_total": self.fp_total,
-            "ner_caused_fn": self.ner_caused_fn,
-            "ner_caused_fp": self.ner_caused_fp,
-            "null_fn": self.null_fn,
-            "confusion_fn": self.confusion_fn,
-            "confusion_fp": self.confusion_fp,
-            "spurious_fp": self.spurious_fp,
-            "null_fn_by_type": dict(sorted(self.null_fn_by_type.items())),
-            "confusion_counts": {f"{g}->{p}": c for (g, p), c
-                                 in sorted(self.confusion_counts.items())},
-            "fp_fraction_by_pred_type": dict(sorted(self.fp_fraction_by_pred_type.items())),
-            "gold_relations_by_type": dict(sorted(self.gold_relations_by_type.items())),
-            "predictions_by_type": dict(sorted(self.predictions_by_type.items())),
-        }
+        """Every field but the item lists, which the per-category dumps hold."""
+        items = {attr for _, attr in CATEGORY_ITEMS}
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in items}
+        record["confusion_counts"] = {f"{g}->{p}": c for (g, p), c
+                                      in sorted(self.confusion_counts.items())}
+        return record
 
 
 def _relation_args(key: RelationKey) -> Tuple[EntityKey, EntityKey]:

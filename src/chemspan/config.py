@@ -141,12 +141,7 @@ class PipelineConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": dataclasses.asdict(self.encoder),
-            "ner": dataclasses.asdict(self.ner),
-            "relation": dataclasses.asdict(self.relation),
-            "seeds": self.seeds,
-        }
+        return dataclasses.asdict(self)
 
 
 def load_config(path: Optional[str]) -> PipelineConfig:

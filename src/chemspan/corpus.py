@@ -201,7 +201,8 @@ def load_corpus_with_diagnostics(
         for line_no, cols in read_tsv(entities_path, 6):
             doc_id, entity_id, raw_type, raw_start, raw_end, surface = cols
             if doc_id not in texts:
-                raise DanglingReferenceError(doc_id, entity_id, "entity for unknown document")
+                raise DanglingReferenceError(doc_id, entity_id, "entity for unknown document",
+                                             f"{entities_path}:{line_no}")
             if raw_type not in DEFAULT_TYPE_MAP:
                 raise CorpusFormatError(entities_path, line_no, "type",
                                         f"unknown entity type {raw_type!r}")
@@ -233,7 +234,8 @@ def load_corpus_with_diagnostics(
             doc_id, raw_group, raw_arg1, raw_arg2 = cols[0], cols[1], cols[-2], cols[-1]
             raw_flag = cols[2] if len(cols) > 4 else None
             if doc_id not in texts:
-                raise DanglingReferenceError(doc_id, raw_arg1, "relation for unknown document")
+                raise DanglingReferenceError(doc_id, raw_arg1, "relation for unknown document",
+                                             f"{relations_path}:{line_no}")
             try:
                 group = canonical_group(raw_group)
             except ValueError as exc:
@@ -253,7 +255,9 @@ def load_corpus_with_diagnostics(
             ents = entities[doc_id]
             for arg, want in ((arg1, "CHEMICAL"), (arg2, "GENE")):
                 if arg not in ents:
-                    raise DanglingReferenceError(doc_id, arg, "relation argument not in entity file")
+                    raise DanglingReferenceError(
+                        doc_id, arg, "relation argument not in entity file",
+                        f"{relations_path}:{line_no}")
                 if ents[arg].etype != want:
                     raise CorpusFormatError(
                         relations_path, line_no, "argument type",
@@ -286,7 +290,8 @@ def load_corpus_with_diagnostics(
         for line_no, (doc_id, raw_start, raw_end) in read_tsv(sentences_path, 3):
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, f"[{raw_start},{raw_end})",
-                                             "sentence for unknown document")
+                                             "sentence for unknown document",
+                                             f"{sentences_path}:{line_no}")
             start, end = _ints(sentences_path, line_no, "offsets", raw_start, raw_end)
             boundaries.setdefault(doc_id, []).append((start, end))
             n += 1
@@ -332,7 +337,7 @@ def load_corpus_dir(corpus_dir) -> List[Document]:
     corrections = d / "corrections.tsv"
     if corrections.exists():
         fixes = load_corrections(corrections)
-        docs = [apply_corrections(doc, fixes.get(doc.doc_id, [])) for doc in docs]
+        docs = [apply_corrections(doc, fixes.get(doc.doc_id, []), corrections) for doc in docs]
     return docs
 
 
@@ -420,7 +425,11 @@ def segment(doc: Document, segmenter: Optional[SegmenterFn] = None) -> List[Sent
         intervals = list(doc.sentence_boundaries)
     else:
         intervals = list((segmenter or default_segmenter)(doc.text))
-    validate_sentences(doc.text, intervals)
+    try:
+        validate_sentences(doc.text, intervals)
+    except ContractViolationError as exc:
+        source = " (sentences.tsv)" if doc.sentence_boundaries is not None else ""
+        raise ContractViolationError(f"document {doc.doc_id!r}{source}: {exc}") from None
     return [Sentence(i, s, e) for i, (s, e) in enumerate(intervals)]
 
 
@@ -436,21 +445,24 @@ def load_corrections(path) -> Dict[str, List[Tuple[str, int, int]]]:
     return fixes
 
 
-def apply_corrections(doc: Document, corrections: Sequence[Tuple[str, int, int]]) -> Document:
+def apply_corrections(doc: Document, corrections: Sequence[Tuple[str, int, int]],
+                      source=None) -> Document:
     """Return a new document with entity offsets replaced and surfaces re-read.
 
     The input document is left untouched. Unknown entity ids and
-    out-of-bounds intervals raise.
+    out-of-bounds intervals raise, naming ``source``, the corrections file,
+    when it is given.
     """
     if not corrections:
         return doc
+    where = f" in {source}" if source else ""
     by_id = {e.entity_id: e for e in doc.entities}
     for entity_id, start, end in corrections:
         if entity_id not in by_id:
-            raise DanglingReferenceError(doc.doc_id, entity_id, "correction target")
+            raise DanglingReferenceError(doc.doc_id, entity_id, "correction target", source)
         if not (0 <= start < end <= len(doc.text)):
             raise OffsetError(
-                f"correction for {doc.doc_id}/{entity_id}: [{start},{end}) "
+                f"correction for {doc.doc_id}/{entity_id}{where}: [{start},{end}) "
                 f"out of bounds for text of length {len(doc.text)}")
         old = by_id[entity_id]
         by_id[entity_id] = dataclasses.replace(

@@ -12,6 +12,7 @@ finite differences, which is the one test that keeps several hundred lines
 of calculus honest.
 """
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -304,9 +305,7 @@ class EncoderModel:
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
         self.config = config or PipelineConfig()
         self.seed = seed
-        ec = self.config.encoder
-        self.encoder = TinyEncoder(ec.dim, ec.blocks, ec.ffn_dim, ec.buckets,
-                                   ec.max_len, seed=seed)
+        self.encoder = TinyEncoder(**dataclasses.asdict(self.config.encoder), seed=seed)
         self.head: Params = {}
 
     def parameters(self) -> Params:

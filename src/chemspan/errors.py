@@ -16,13 +16,17 @@ class CorpusFormatError(ChemspanError):
 
 
 class DanglingReferenceError(ChemspanError):
-    """A record points at a document or entity id that does not exist."""
+    """A record points at a document or entity id that does not exist.
 
-    def __init__(self, doc_id, ref, message=""):
+    ``where``, when given, names the file (and line) holding the record.
+    """
+
+    def __init__(self, doc_id, ref, message="", where=None):
         self.doc_id = doc_id
         self.ref = ref
         detail = f" ({message})" if message else ""
-        super().__init__(f"document {doc_id!r}: dangling reference {ref!r}{detail}")
+        prefix = f"{where}: " if where else ""
+        super().__init__(f"{prefix}document {doc_id!r}: dangling reference {ref!r}{detail}")
 
 
 class OffsetError(ChemspanError, ValueError):

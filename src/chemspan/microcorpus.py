@@ -13,7 +13,7 @@ The builder is pure arithmetic (no RNG), so the shipped TSV files under
 """
 
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .corpus import Document, GoldEntity, GoldRelation, join_title_abstract, load_corpus_dir
 

@@ -158,9 +158,8 @@ class NerModel(EncoderModel):
 
     # -- data preparation ----------------------------------------------------
 
-    def prepare_documents(self, docs: Sequence[Document],
-                          with_labels: bool = True) -> List[NerExample]:
-        """Window and (optionally) label every sentence of the documents.
+    def prepare_documents(self, docs: Sequence[Document]) -> List[NerExample]:
+        """Window and label every sentence of the documents.
 
         Supervision uses recoverable gold entities only; gold spans wider
         than the span limit cannot be represented and are logged.
@@ -168,7 +167,7 @@ class NerModel(EncoderModel):
         examples = []
         too_wide = 0
         for doc in docs:
-            view_examples, skipped = self.prepare_view(DocView.build(doc), with_labels)
+            view_examples, skipped = self.prepare_view(DocView.build(doc))
             examples.extend(view_examples)
             too_wide += skipped
         if too_wide:

@@ -145,10 +145,9 @@ class RelationModel(EncoderModel):
     """Typed-marker relation classifier over a trainable encoder."""
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
-        config = config or PipelineConfig()
-        rc = config.relation
-        rep_dim = representation_width(rc.variant, config.encoder.dim)
         super().__init__(config, seed)
+        rc = self.config.relation
+        rep_dim = representation_width(rc.variant, self.config.encoder.dim)
         rng = np.random.default_rng(seed + 202)
         self.head = {
             "re.w1": rng.normal(0.0, rep_dim ** -0.5, (rep_dim, rc.head_hidden)),

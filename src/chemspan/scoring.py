@@ -13,9 +13,9 @@ recoverable gold only and pass the structural loss counts here; both roads
 produce the same totals.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from .alignment import LossReport
 from .corpus import Document, GoldEntity, is_eval_group
@@ -77,20 +77,11 @@ class ScoreReport:
     per_seed_counts: Tuple[Tuple[int, int, int, int], ...] = ()
 
     def to_record(self) -> dict:
-        record = {
-            "task": self.task,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "lost": self.lost,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "no_predictions": self.no_predictions,
-            "seeds_aggregated": self.seeds_aggregated,
-            "per_type": {
-                name: {"tp": t.tp, "fp": t.fp, "fn": t.fn, "lost": t.lost,
-                       "precision": t.precision, "recall": t.recall, "f1": t.f1}
-                for name, t in sorted(self.per_type.items())
-            },
-        }
-        if self.per_seed_counts:
-            record["per_seed_counts"] = [list(c) for c in self.per_seed_counts]
+        """Every field; ``per_seed_counts`` only when seeds were aggregated."""
+        record = asdict(self)
+        counts = record.pop("per_seed_counts")
+        if counts:
+            record["per_seed_counts"] = [list(c) for c in counts]
         return record
 
 

@@ -23,10 +23,6 @@ class Token:
     char_start: int
     char_end: int  # exclusive
 
-    @property
-    def width(self) -> int:
-        return self.char_end - self.char_start
-
 
 def tokenize(text: str) -> List[Token]:
     """Split ``text`` into offset-exact tokens. Deterministic, whitespace-free."""
