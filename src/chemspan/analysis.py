@@ -28,7 +28,7 @@ born from a single confusion event once.
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import Document, EVAL_GROUPS, is_eval_group
+from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document, is_eval_group
 from .errors import ContractViolationError
 from .scoring import (
     EntityKey,
@@ -77,7 +77,8 @@ class ErrorBreakdown:
 
 def _relation_args(key: RelationKey) -> Tuple[EntityKey, EntityKey]:
     doc_id, s0, s1, o0, o1, _ = key
-    return (doc_id, s0, s1, "CHEMICAL"), (doc_id, o0, o1, "GENE")
+    chemical, gene = ENTITY_TYPES
+    return (doc_id, s0, s1, chemical), (doc_id, o0, o1, gene)
 
 
 def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],

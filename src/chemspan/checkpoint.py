@@ -16,6 +16,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import CheckpointError
+from .ner import NerModel
+from .relation import RelationModel
 
 MAGIC = b"CSPNCKPT"
 FORMAT_VERSION = 1
@@ -137,8 +139,7 @@ def save_ner_model(path, model) -> None:
 
 
 def load_ner_model(path):
-    from .ner import NerModel
-    return _load_model(path, KIND_NER, lambda cfg, seed: NerModel(cfg, seed=seed))
+    return _load_model(path, KIND_NER, NerModel)
 
 
 def save_re_model(path, model) -> None:
@@ -146,5 +147,4 @@ def save_re_model(path, model) -> None:
 
 
 def load_re_model(path):
-    from .relation import RelationModel
-    return _load_model(path, KIND_RE, lambda cfg, seed: RelationModel(cfg, seed=seed))
+    return _load_model(path, KIND_RE, RelationModel)

@@ -37,7 +37,7 @@ from .checkpoint import (
     save_re_model,
 )
 from .config import load_config
-from .corpus import _ints, load_corpus, load_corpus_dir, read_tsv
+from .corpus import ENTITY_TYPES, EVAL_GROUPS, _ints, load_corpus, load_corpus_dir, read_tsv
 from .errors import ChemspanError, CorpusFormatError
 from .ner import NerModel, train_ner
 from .relation import (
@@ -110,14 +110,23 @@ def _parse_entity_keys(path, views: Dict[str, DocView]) -> Set[EntityKey]:
             raise CorpusFormatError(path, line_no, "token offsets",
                                     f"[{start},{end}] outside sentence {sent_id} "
                                     f"of document {doc_id}")
+        if etype not in ENTITY_TYPES:
+            raise CorpusFormatError(path, line_no, "type", f"unknown entity type {etype!r}")
         keys.add((doc_id, tokens[start].char_start, tokens[end].char_end, etype))
     return keys
 
 
-def _parse_relation_keys(path) -> Set[RelationKey]:
+def _parse_relation_keys(path, doc_ids) -> Set[RelationKey]:
+    """Relation records as character-offset keys, each naming a document of ``doc_ids``."""
     keys = set()
     for line_no, cols in read_tsv(path, 11):
         doc_id, label = cols[0], cols[5]
+        if doc_id not in doc_ids:
+            raise CorpusFormatError(path, line_no, "doc_id", f"unknown document {doc_id!r}")
+        if label not in EVAL_GROUPS:
+            raise CorpusFormatError(path, line_no, "label",
+                                    f"{label!r} is not an evaluated group "
+                                    f"({', '.join(EVAL_GROUPS)})")
         s0, s1, o0, o1 = _ints(path, line_no, "character offsets", *cols[7:11])
         keys.add((doc_id, s0, s1, o0, o1, label))
     return keys
@@ -247,7 +256,7 @@ def cmd_score(args) -> int:
         report = score_ner(gold, predicted, lost_by_type=Counter(k[-1] for k in lost_entities))
     else:
         gold = gold_relation_set(docs) - lost_relations
-        predicted = _parse_relation_keys(args.pred)
+        predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
         report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
     print(render_score_report(report), end="")
     if args.out:
@@ -262,7 +271,7 @@ def cmd_analyze(args) -> int:
     docs = load_corpus_dir(args.gold)
     views = _views_by_doc(docs)
     pred_entities = _parse_entity_keys(args.pred_ents, views)
-    pred_relations = _parse_relation_keys(args.pred_rels)
+    pred_relations = _parse_relation_keys(args.pred_rels, views)
     breakdown = analyze(docs, pred_entities, pred_relations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -66,6 +66,17 @@ class NerConfig:
                                     "epochs": 0, "batch_size": 1})
 
 
+# relation representation layouts: which pooled pieces are concatenated, in order
+_VARIANT_SEGMENTS = {
+    "A": ("s_open", "o_open"),
+    "B": ("cls", "s_open", "o_open"),
+    "C": ("s_open", "mid", "o_open"),
+    "D": ("cls", "s_open", "mid", "o_open"),
+    "E": ("s_open", "s_close", "mid", "o_open", "o_close"),
+    "F": ("cls", "s_open", "s_close", "mid", "o_open", "o_close"),
+}
+
+
 @dataclass
 class RelationConfig:
     variant: str = "C"              # which representation layout to use
@@ -76,7 +87,7 @@ class RelationConfig:
     lr: float = 3e-3
 
     def __post_init__(self):
-        if self.variant not in ("A", "B", "C", "D", "E", "F"):
+        if self.variant not in _VARIANT_SEGMENTS:
             raise ConfigError(f"relation.variant must be one of A-F, got {self.variant!r}")
         _check_fields("relation", self, {"head_hidden": 1, "context_window": 0,
                                          "epochs": 0, "batch_size": 1})
@@ -99,11 +110,12 @@ class PipelineConfig:
     def __post_init__(self):
         _check_fields("", self, {"seeds": 1})
         e, n, r = self.encoder, self.ner, self.relation
+        widest = max(map(len, _VARIANT_SEGMENTS.values()))
         # an upper bound on the float64 parameters either model allocates
         bound = (e.dim * (e.buckets + e.max_len + 8)                       # embeddings
                  + e.blocks * (e.dim + 1) * (4 * e.dim + 2 * e.ffn_dim + 8)  # blocks
                  + (n.max_span_width + 3) * n.width_dim + 6 * e.dim + 3     # span head
-                 + (6 * e.dim + 7) * r.head_hidden + 6)                     # relation head
+                 + (widest * e.dim + 7) * r.head_hidden + 6)                # relation head
         if bound > MAX_PARAMETERS:
             raise ConfigError(
                 f"config sizes allow up to {bound} float64 parameters per model, over "

@@ -253,7 +253,7 @@ def load_corpus_with_diagnostics(
                     f"{group} must have eval_flag={'Y' if is_eval_group(group) else 'N'}")
             arg1, arg2 = _strip_arg(raw_arg1), _strip_arg(raw_arg2)
             ents = entities[doc_id]
-            for arg, want in ((arg1, "CHEMICAL"), (arg2, "GENE")):
+            for arg, want in zip((arg1, arg2), ENTITY_TYPES):
                 if arg not in ents:
                     raise DanglingReferenceError(
                         doc_id, arg, "relation argument not in entity file",
@@ -337,6 +337,11 @@ def load_corpus_dir(corpus_dir) -> List[Document]:
     corrections = d / "corrections.tsv"
     if corrections.exists():
         fixes = load_corrections(corrections)
+        known = {doc.doc_id for doc in docs}
+        for doc_id, rows in fixes.items():
+            if doc_id not in known:
+                raise DanglingReferenceError(doc_id, rows[0][0], "correction for unknown document",
+                                             corrections)
         docs = [apply_corrections(doc, fixes.get(doc.doc_id, []), corrections) for doc in docs]
     return docs
 

@@ -35,6 +35,7 @@ SPECIAL_SYMBOLS = (CLS_SYMBOL, SUBJ_OPEN, SUBJ_CLOSE, OBJ_OPEN, OBJ_CLOSE)
 _SPECIAL_INDEX = {s: i for i, s in enumerate(SPECIAL_SYMBOLS)}
 
 _LN_EPS = 1e-5
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 Params = Dict[str, np.ndarray]
 
@@ -77,7 +78,7 @@ def _ln_backward(dy, xhat, inv_std, gamma):
 class TinyEncoder:
     """Hashed embeddings + positions + attention blocks, all trainable."""
 
-    def __init__(self, dim=64, blocks=2, ffn_dim=None, buckets=2048, max_len=512, seed=0):
+    def __init__(self, dim, blocks, buckets, max_len, seed, ffn_dim=None):
         self.dim = dim
         self.blocks = blocks
         self.ffn_dim = ffn_dim if ffn_dim is not None else 2 * dim
@@ -267,29 +268,26 @@ class Adam:
     dense one; a row that has had one is stepped even when it gets none.
     """
 
-    def __init__(self, params: Params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: Params, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: Params, rows: Optional[Dict[str, object]] = None) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         rows = rows or {}
         for key, p_all in self.params.items():
             sel = rows.get(key, slice(None))
             p, g, m, v = p_all[sel], grads[key][sel], self.m[key][sel], self.v[key][sel]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
             if not isinstance(sel, slice):  # an index array gathered copies
                 p_all[sel], self.m[key][sel], self.v[key][sel] = p, m, v
 
@@ -319,12 +317,11 @@ class EncoderModel:
         return grads
 
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
-            epochs: Optional[int] = None, batch_size: Optional[int] = None,
-            seed: int = 0, lr: Optional[float] = None) -> List[float]:
+            epochs: Optional[int] = None, seed: int = 0) -> List[float]:
         """Adam over seeded random batches; returns the per-epoch mean loss.
 
-        ``settings`` is the config section whose ``epochs``, ``batch_size``
-        and ``lr`` stand in for arguments left as None. Each batch's mean
+        ``settings`` is the config section that gives ``batch_size`` and
+        ``lr``, and ``epochs`` when the argument is None. Each batch's mean
         loss counts ``weight(batch)`` times in its epoch's mean. Zero epochs
         is a no-op that leaves the model untouched. Any non-finite loss
         aborts immediately with the epoch, the step, the last finite epoch
@@ -334,16 +331,15 @@ class EncoderModel:
             log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
             return []
         epochs = settings.epochs if epochs is None else epochs
-        batch_size = settings.batch_size if batch_size is None else batch_size
-        opt = Adam(self.parameters(), lr=settings.lr if lr is None else lr)
+        opt = Adam(self.parameters(), lr=settings.lr)
         rng = np.random.default_rng(seed)
         curve = []
         for epoch in range(epochs):
             order = rng.permutation(len(labeled))
             epoch_loss = 0.0
             total = 0
-            for step, lo in enumerate(range(0, len(order), batch_size)):
-                batch = [labeled[i] for i in order[lo:lo + batch_size]]
+            for step, lo in enumerate(range(0, len(order), settings.batch_size)):
+                batch = [labeled[i] for i in order[lo:lo + settings.batch_size]]
                 loss, grads = self.loss_and_grads(batch)
                 if not np.isfinite(loss):
                     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))

@@ -16,14 +16,14 @@ import numpy as np
 
 from .alignment import DocView, recoverable_entities
 from .config import PipelineConfig
-from .corpus import Document
+from .corpus import ENTITY_TYPES, Document
 from .encoder import EncoderModel, _softmax_rows
 from .errors import OverLengthError
 
 log = logging.getLogger(__name__)
 
-NER_LABELS = ("CHEMICAL", "GENE", "null")  # argmax takes the first on ties
-NULL_LABEL = 2
+NER_LABELS = ENTITY_TYPES + ("null",)  # argmax takes the first on ties
+NULL_LABEL = NER_LABELS.index("null")
 
 
 @dataclass(frozen=True)
@@ -320,12 +320,11 @@ class NerModel(EncoderModel):
 
 
 def train_ner(model: NerModel, examples: Sequence[NerExample], epochs: Optional[int] = None,
-              batch_size: Optional[int] = None, seed: int = 0,
-              lr: Optional[float] = None) -> List[float]:
+              seed: int = 0) -> List[float]:
     """Adam training over prepared sentences; returns per-epoch mean loss.
 
     Each batch counts in the epoch mean by its number of candidate spans.
     """
     labeled = [ex for ex in examples if ex.labels is not None]
     return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
-                     model.config.ner, epochs, batch_size, seed, lr)
+                     model.config.ner, epochs, seed)

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alignment import DocView, recoverable_entities
-from .config import PipelineConfig
-from .corpus import Document
+from .config import _VARIANT_SEGMENTS, PipelineConfig
+from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document
 from .encoder import (
     CLS_SYMBOL,
     OBJ_CLOSE,
@@ -28,18 +28,8 @@ from .encoder import (
 from .errors import OverLengthError
 from .ner import NerModel, SpanMention, build_windowed_input
 
-RELATION_LABELS = ("null", "CPR:3", "CPR:4", "CPR:5", "CPR:6", "CPR:9")
-NULL_RELATION = 0
-
-# representation layouts: which pooled pieces are concatenated, in order
-_VARIANT_SEGMENTS = {
-    "A": ("s_open", "o_open"),
-    "B": ("cls", "s_open", "o_open"),
-    "C": ("s_open", "mid", "o_open"),
-    "D": ("cls", "s_open", "mid", "o_open"),
-    "E": ("s_open", "s_close", "mid", "o_open", "o_close"),
-    "F": ("cls", "s_open", "s_close", "mid", "o_open", "o_close"),
-}
+RELATION_LABELS = ("null",) + EVAL_GROUPS
+NULL_RELATION = RELATION_LABELS.index("null")
 
 
 def representation_width(variant: str, dim: int) -> int:
@@ -54,10 +44,9 @@ def generate_pairs(mentions: Sequence[SpanMention]) -> List[Tuple[SpanMention, S
     Nested and overlapping pairs are included on purpose. Ordered by
     (subject token start, object token start) for determinism.
     """
-    chems = sorted((m for m in mentions if m.etype == "CHEMICAL"),
-                   key=lambda m: (m.token_start, m.token_end))
-    genes = sorted((m for m in mentions if m.etype == "GENE"),
-                   key=lambda m: (m.token_start, m.token_end))
+    chems, genes = (sorted((m for m in mentions if m.etype == etype),
+                           key=lambda m: (m.token_start, m.token_end))
+                    for etype in ENTITY_TYPES)
     return [(c, g) for c in chems for g in genes]
 
 
@@ -323,11 +312,10 @@ def prediction_instances(model: RelationModel, view: DocView, sent_idx: int,
 
 
 def train_re(model: RelationModel, instances: Sequence[RelationInstance],
-             epochs: Optional[int] = None, batch_size: Optional[int] = None,
-             seed: int = 0, lr: Optional[float] = None) -> List[float]:
+             epochs: Optional[int] = None, seed: int = 0) -> List[float]:
     """Adam training over labeled instances; returns per-epoch mean loss."""
     labeled = [inst for inst in instances if inst.label is not None]
-    return model.fit(labeled, len, model.config.relation, epochs, batch_size, seed, lr)
+    return model.fit(labeled, len, model.config.relation, epochs, seed)
 
 
 @dataclass(frozen=True)

@@ -444,6 +444,21 @@ BAD_INPUTS = {
     "non-UTF-8 prediction file": (
         ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
         {"ents.tsv": ENTITY_RECORD + ENTITY_RECORD[:-1] + b"\xe9\n"}, "ents.tsv:2:"),
+    "unknown type in an entity record": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
+        {"ents.tsv": ENTITY_RECORD + b"MICRO0\t0\t0\t0\tchemical\t0.9\n"},
+        "ents.tsv:2: bad type: unknown entity type 'chemical'"),
+    "unknown document in a relation record": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv"],
+        {"rels.tsv": b"NOPE\t0\t0\t2\t3\tCPR:4\t0.9\t0\t7\t9\t21\n"},
+        "rels.tsv:1: bad doc_id: unknown document 'NOPE'"),
+    "non-evaluated label in a relation record": (
+        ["analyze", "--gold", "{dir}", "--pred-ents", "{dir}/ents.tsv",
+         "--pred-rels", "{dir}/rels.tsv", "--out", "{dir}/analysis"],
+        {"ents.tsv": ENTITY_RECORD,
+         "rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\t0.9\t0\t7\t9\t21\n"
+                     b"MICRO0\t0\t0\t2\t3\tCPR:1\t0.9\t0\t7\t9\t21\n"},
+        "rels.tsv:2: bad label: 'CPR:1' is not an evaluated group"),
 }
 
 

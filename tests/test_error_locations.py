@@ -63,10 +63,16 @@ def unknown_correction_target(corpus):
             "(correction target)")
 
 
+def unknown_correction_document(corpus):
+    append_row(corpus / "corrections.tsv", "NOPE", "T1", 0, 99999)
+    return (f"{corpus / 'corrections.tsv'}: document 'NOPE': dangling reference 'T1' "
+            "(correction for unknown document)")
+
+
 @pytest.mark.parametrize("break_corpus", [
     bad_entity_document, bad_relation_document, bad_relation_argument,
     bad_sentence_document, overlapping_sentences, out_of_bounds_correction,
-    unknown_correction_target,
+    unknown_correction_target, unknown_correction_document,
 ])
 def test_corpus_error_names_where_the_fault_is(tmp_path, capsys, break_corpus):
     corpus = tmp_path / "corpus"
