@@ -70,8 +70,8 @@ class DocView:
     sent_flat_start: List[int]
 
     @classmethod
-    def build(cls, doc: Document, segmenter=None) -> "DocView":
-        sentences = segment(doc, segmenter)
+    def build(cls, doc: Document) -> "DocView":
+        sentences = segment(doc)
         tokens = [tokenize_sentence(doc, s) for s in sentences]
         flat: List[str] = []
         starts: List[int] = []

@@ -111,6 +111,7 @@ def _load_model(path, expected_kind: str, factory):
     if kind != expected_kind:
         raise CheckpointError(
             f"{path}: checkpoint holds a {kind!r} model, expected {expected_kind!r}")
+    config.pop("seeds", None)  # a setting older checkpoints carry and nothing reads
     # the blob is outside input: a bad key, value or variant is corruption here
     try:
         cfg = PipelineConfig.from_dict(config)

@@ -93,10 +93,20 @@ def _relation_records(predictions, view: DocView) -> List[str]:
     return lines
 
 
+def _check_prob(path, line_no: int, raw: str) -> None:
+    """Raise unless a record's prob column is a finite number in [0, 1]."""
+    try:
+        ok = 0.0 <= float(raw) <= 1.0  # false for NaN and the infinities
+    except ValueError:
+        ok = False
+    if not ok:
+        raise CorpusFormatError(path, line_no, "prob", f"{raw!r} is not a number in [0, 1]")
+
+
 def _parse_entity_keys(path, views: Dict[str, DocView]) -> Set[EntityKey]:
     """Entity records back to character-offset keys via the gold tokenization."""
     keys = set()
-    for line_no, (doc_id, sent_id, t_start, t_end, etype, _prob) in read_tsv(path, 6):
+    for line_no, (doc_id, sent_id, t_start, t_end, etype, prob) in read_tsv(path, 6):
         if doc_id not in views:
             raise CorpusFormatError(path, line_no, "doc_id", f"unknown document {doc_id!r}")
         view = views[doc_id]
@@ -112,6 +122,7 @@ def _parse_entity_keys(path, views: Dict[str, DocView]) -> Set[EntityKey]:
                                     f"of document {doc_id}")
         if etype not in ENTITY_TYPES:
             raise CorpusFormatError(path, line_no, "type", f"unknown entity type {etype!r}")
+        _check_prob(path, line_no, prob)
         keys.add((doc_id, tokens[start].char_start, tokens[end].char_end, etype))
     return keys
 
@@ -123,10 +134,13 @@ def _parse_relation_keys(path, doc_ids) -> Set[RelationKey]:
         doc_id, label = cols[0], cols[5]
         if doc_id not in doc_ids:
             raise CorpusFormatError(path, line_no, "doc_id", f"unknown document {doc_id!r}")
+        # matched against nothing: that would need the tokenization, which RE scoring skips
+        _ints(path, line_no, "token offsets", *cols[1:5])
         if label not in EVAL_GROUPS:
             raise CorpusFormatError(path, line_no, "label",
                                     f"{label!r} is not an evaluated group "
                                     f"({', '.join(EVAL_GROUPS)})")
+        _check_prob(path, line_no, cols[6])
         s0, s1, o0, o1 = _ints(path, line_no, "character offsets", *cols[7:11])
         keys.add((doc_id, s0, s1, o0, o1, label))
     return keys
@@ -364,7 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ChemspanError, FileNotFoundError) as exc:
+    except (ChemspanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ def _check_fields(section: str, values, minimums: Dict[str, int]) -> None:
     minimum; float fields must be finite numbers above zero.
     """
     for f in dataclasses.fields(values):
-        key = f"{section}.{f.name}" if section else f.name
+        key = f"{section}.{f.name}"
         value = getattr(values, f.name)
         if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -105,10 +105,8 @@ class PipelineConfig:
     encoder: EncoderConfig = dataclasses.field(default_factory=EncoderConfig)
     ner: NerConfig = dataclasses.field(default_factory=NerConfig)
     relation: RelationConfig = dataclasses.field(default_factory=RelationConfig)
-    seeds: int = 5                  # how many seeds a multi-seed run averages
 
     def __post_init__(self):
-        _check_fields("", self, {"seeds": 1})
         e, n, r = self.encoder, self.ner, self.relation
         widest = max(map(len, _VARIANT_SEGMENTS.values()))
         # an upper bound on the float64 parameters either model allocates
@@ -130,9 +128,6 @@ class PipelineConfig:
         """Build each section through its constructor; unknown keys are errors."""
         kwargs = {}
         for name, value in _json_object("config", data).items():
-            if name == "seeds":
-                kwargs[name] = value
-                continue
             if name not in _SECTIONS:
                 raise ConfigError(f"unknown config key {name}")
             known = {f.name for f in dataclasses.fields(_SECTIONS[name])}

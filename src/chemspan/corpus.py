@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ContractViolationError,
@@ -183,19 +183,17 @@ def load_corpus_with_diagnostics(
     """
     diags = LoadDiagnostics()
 
-    texts: Dict[str, Tuple[str, str]] = {}
-    order: List[str] = []
+    texts: Dict[str, Tuple[str, str]] = {}  # in file order
     for line_no, (doc_id, title, abstract) in read_tsv(abstracts_path, 3):
         if not doc_id:
             raise CorpusFormatError(abstracts_path, line_no, "doc_id", "empty")
         if doc_id in texts:
             raise CorpusFormatError(abstracts_path, line_no, "doc_id", f"duplicate {doc_id!r}")
         texts[doc_id] = (title, abstract)
-        order.append(doc_id)
-    diags.line_counts[str(abstracts_path)] = len(order)
+    diags.line_counts[str(abstracts_path)] = len(texts)
 
     # entity_id -> entity per document, in file order
-    entities: Dict[str, Dict[str, GoldEntity]] = {d: {} for d in order}
+    entities: Dict[str, Dict[str, GoldEntity]] = {d: {} for d in texts}
     if entities_path is not None:
         n = 0
         for line_no, cols in read_tsv(entities_path, 6):
@@ -224,7 +222,7 @@ def load_corpus_with_diagnostics(
             n += 1
         diags.line_counts[str(entities_path)] = n
 
-    relations: Dict[str, List[GoldRelation]] = {d: [] for d in order}
+    relations: Dict[str, List[GoldRelation]] = {d: [] for d in texts}
     if relations_path is not None:
         n = 0
         seen: Dict[Tuple[str, str, str, str], int] = {}
@@ -298,8 +296,7 @@ def load_corpus_with_diagnostics(
         diags.line_counts[str(sentences_path)] = n
 
     docs = []
-    for doc_id in order:
-        title, abstract = texts[doc_id]
+    for doc_id, (title, abstract) in texts.items():
         docs.append(Document(
             doc_id=doc_id,
             title=title,
@@ -323,8 +320,6 @@ def load_corpus_dir(corpus_dir) -> List[Document]:
     """Load abstracts/entities/relations(.tsv) and optional sentences.tsv."""
     d = Path(corpus_dir)
     abstracts = d / "abstracts.tsv"
-    if not abstracts.exists():
-        raise FileNotFoundError(f"{abstracts} not found")
     entities = d / "entities.tsv"
     relations = d / "relations.tsv"
     sentences = d / "sentences.tsv"
@@ -377,8 +372,6 @@ def save_corpus(docs: Sequence[Document], corpus_dir) -> None:
 # uppercase letter or digit; abbreviations are not special-cased
 _BOUNDARY = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
 
-SegmenterFn = Callable[[str], Sequence[Tuple[int, int]]]
-
 
 def default_segmenter(text: str) -> List[Tuple[int, int]]:
     cuts = [m.end() for m in _BOUNDARY.finditer(text)]
@@ -417,19 +410,19 @@ def validate_sentences(text: str, intervals: Sequence[Tuple[int, int]]) -> None:
                     "not covered by any sentence")
 
 
-def segment(doc: Document, segmenter: Optional[SegmenterFn] = None) -> List[Sentence]:
+def segment(doc: Document) -> List[Sentence]:
     """Split a document into sentences, validating whichever source is used.
 
-    Pre-computed boundaries on the document win; otherwise the supplied
-    segmenter (or the built-in rule) runs. Either way the result must be
-    ordered, non-overlapping, in bounds, and cover all non-whitespace text.
+    Pre-computed boundaries on the document win; otherwise the built-in rule
+    runs. Either way the result must be ordered, non-overlapping, in bounds,
+    and cover all non-whitespace text.
     """
     if not doc.text:
         raise ValueError(f"document {doc.doc_id} has empty text")
     if doc.sentence_boundaries is not None:
         intervals = list(doc.sentence_boundaries)
     else:
-        intervals = list((segmenter or default_segmenter)(doc.text))
+        intervals = default_segmenter(doc.text)
     try:
         validate_sentences(doc.text, intervals)
     except ContractViolationError as exc:

@@ -34,7 +34,7 @@ class OffsetError(ChemspanError, ValueError):
 
 
 class ContractViolationError(ChemspanError):
-    """A pluggable component returned output that violates its contract."""
+    """Sentence boundaries or predictions break the contract of the stage reading them."""
 
 
 class OverLengthError(ChemspanError):

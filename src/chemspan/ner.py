@@ -93,7 +93,6 @@ def split_context(left_supply: int, right_supply: int, budget: int) -> Tuple[int
 class WindowedInput:
     symbols: List[str]
     sent_offset: int  # index of the sentence's first token inside symbols
-    n_sent: int
 
 
 def build_windowed_input(sent_surfaces: Sequence[str], left_context: Sequence[str],
@@ -114,7 +113,7 @@ def build_windowed_input(sent_surfaces: Sequence[str], left_context: Sequence[st
     left, right = split_context(len(left_context), len(right_context), min(budget, room))
     taken_left = list(left_context[len(left_context) - left:]) if left else []
     taken_right = list(right_context[:right])
-    return WindowedInput(taken_left + list(sent_surfaces) + taken_right, len(taken_left), n_sent)
+    return WindowedInput(taken_left + list(sent_surfaces) + taken_right, len(taken_left))
 
 
 @dataclass
@@ -221,7 +220,7 @@ class NerModel(EncoderModel):
                     if etype is not None:
                         labels[i] = NER_LABELS.index(etype)
             examples.append(NerExample(
-                view.doc.doc_id, sent.sent_id, WindowedInput(symbols, left, n), candidates,
+                view.doc.doc_id, sent.sent_id, WindowedInput(symbols, left), candidates,
                 labels, [(t.char_start, t.char_end) for t in view.tokens[k]]))
         return examples, too_wide
 

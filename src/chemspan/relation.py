@@ -53,15 +53,8 @@ def generate_pairs(mentions: Sequence[SpanMention]) -> List[Tuple[SpanMention, S
 @dataclass(frozen=True)
 class MarkedSentence:
     symbols: Tuple[str, ...]
-    subj_open: int
-    subj_close: int
-    obj_open: int
-    obj_close: int
+    marker_positions: Tuple[int, int, int, int]  # subject open, close; object open, close
     token_map: Tuple[int, ...]  # original token index -> marked position
-
-    @property
-    def marker_positions(self) -> Tuple[int, int, int, int]:
-        return (self.subj_open, self.subj_close, self.obj_open, self.obj_close)
 
 
 def insert_markers(tokens: Sequence[str], subject: Tuple[int, int],
@@ -81,15 +74,15 @@ def insert_markers(tokens: Sequence[str], subject: Tuple[int, int],
     s_start, s_end = subject
     o_start, o_end = object_
     events = [
-        # (insert position, close?, tie key, symbol, slot)
-        (s_start, 0, (s_start, -s_end, 1), SUBJ_OPEN, "subj_open"),
-        (o_start, 0, (o_start, -o_end, 0), OBJ_OPEN, "obj_open"),
-        (s_end + 1, 1, (-s_start, s_end, 0), SUBJ_CLOSE, "subj_close"),
-        (o_end + 1, 1, (-o_start, o_end, 1), OBJ_CLOSE, "obj_close"),
+        # (insert position, close?, tie key, symbol, index in marker_positions)
+        (s_start, 0, (s_start, -s_end, 1), SUBJ_OPEN, 0),
+        (o_start, 0, (o_start, -o_end, 0), OBJ_OPEN, 2),
+        (s_end + 1, 1, (-s_start, s_end, 0), SUBJ_CLOSE, 1),
+        (o_end + 1, 1, (-o_start, o_end, 1), OBJ_CLOSE, 3),
     ]
     events.sort(key=lambda e: (e[0], e[1], e[2]))
     out: List[str] = []
-    slots: Dict[str, int] = {}
+    slots = [0] * 4
     token_map: List[int] = []
     ei = 0
     for i in range(n + 1):
@@ -100,8 +93,7 @@ def insert_markers(tokens: Sequence[str], subject: Tuple[int, int],
         if i < n:
             token_map.append(len(out))
             out.append(tokens[i])
-    return MarkedSentence(tuple(out), slots["subj_open"], slots["subj_close"],
-                          slots["obj_open"], slots["obj_close"], tuple(token_map))
+    return MarkedSentence(tuple(out), tuple(slots), tuple(token_map))
 
 
 def strip_markers(symbols: Sequence[str]) -> List[str]:

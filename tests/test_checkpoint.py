@@ -6,6 +6,7 @@ The CLI turns CheckpointError into exit status 2 and one `error:` line.
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,20 @@ def test_oversized_config_blob_is_a_checkpoint_error(tmp_path, kind):
                                lambda m: m["config"]["encoder"].update(buckets=10 ** 12)))
     with pytest.raises(CheckpointError, match="encoder.buckets"):
         (load_ner_model if kind == "ner" else load_re_model)(ckpt)
+
+
+@pytest.mark.parametrize("kind", ["ner", "re"])
+def test_checkpoint_from_before_seeds_was_removed_loads(tmp_path, kind):
+    # checkpoints written while the config had a `seeds` setting carry it in the blob
+    model = (NerModel if kind == "ner" else RelationModel)(tiny_cfg(), seed=3)
+    path = tmp_path / "old.ckpt"
+    (save_ner_model if kind == "ner" else save_re_model)(path, model)
+    path.write_bytes(with_meta(path.read_bytes(), lambda m: m["config"].update(seeds=5)))
+    loaded = (load_ner_model if kind == "ner" else load_re_model)(path)
+    assert loaded.seed == 3 and loaded.config == model.config
+    saved, restored = model.parameters(), loaded.parameters()
+    assert saved.keys() == restored.keys()
+    assert all(np.array_equal(saved[name], restored[name]) for name in saved)
 
 
 @pytest.fixture(scope="module")

@@ -400,9 +400,9 @@ def test_predict_e2e_builds_each_document_view_once(tmp_path, micro_dir, monkeyp
     built = []
     original = DocView.build.__func__
 
-    def counting_build(cls, doc, segmenter=None):
+    def counting_build(cls, doc):
         built.append(doc.doc_id)
-        return original(cls, doc, segmenter)
+        return original(cls, doc)
 
     monkeypatch.setattr(DocView, "build", classmethod(counting_build))
     rels = tmp_path / "rels.tsv"
@@ -459,6 +459,28 @@ BAD_INPUTS = {
          "rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\t0.9\t0\t7\t9\t21\n"
                      b"MICRO0\t0\t0\t2\t3\tCPR:1\t0.9\t0\t7\t9\t21\n"},
         "rels.tsv:2: bad label: 'CPR:1' is not an evaluated group"),
+    "non-numeric prob in an entity record": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
+        {"ents.tsv": ENTITY_RECORD + b"MICRO0\t0\t0\t0\tCHEMICAL\tnot-a-prob\n"},
+        "ents.tsv:2: bad prob: 'not-a-prob' is not a number in [0, 1]"),
+    "NaN prob in an entity record": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv"],
+        {"ents.tsv": b"MICRO0\t0\t0\t0\tCHEMICAL\tnan\n"}, "ents.tsv:1: bad prob"),
+    "prob above one in a relation record": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv"],
+        {"rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\t1.5\t0\t7\t9\t21\n"},
+        "rels.tsv:1: bad prob: '1.5' is not a number in [0, 1]"),
+    "non-numeric prob in a relation record": (
+        ["analyze", "--gold", "{dir}", "--pred-ents", "{dir}/ents.tsv",
+         "--pred-rels", "{dir}/rels.tsv", "--out", "{dir}/analysis"],
+        {"ents.tsv": ENTITY_RECORD,
+         "rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\tprob?\t0\t7\t9\t21\n"},
+        "rels.tsv:1: bad prob"),
+    "non-integer token offsets in a relation record": (
+        ["score", "--gold", "{dir}", "--task", "re", "--pred", "{dir}/rels.tsv"],
+        {"rels.tsv": b"MICRO0\t0\t0\t2\t3\tCPR:4\t0.9\t0\t7\t9\t21\n"
+                     b"MICRO0\tx\ty\tz\tw\tCPR:4\tprob?\t0\t7\t9\t21\n"},
+        "rels.tsv:2: bad token offsets: non-integer token offsets 'x'/'y'/'z'/'w'"),
 }
 
 
@@ -474,6 +496,40 @@ def test_bad_input_line_is_one_error_naming_file_and_line(micro_dir, capsys, cas
     assert f"{micro_dir / location}" in err[0], err
 
 
+# ---------------------------------------------------------------------------
+# operating-system errors: exit 2 with one error line naming the path
+
+# case -> (argv, the path the error line names); {dir} is the corpus directory
+OS_ERRORS = {
+    "config is a directory": (
+        ["train-ner", "--corpus", "{dir}", "--config", "{dir}", "--out", "{dir}/ner.ckpt"],
+        "{dir}"),
+    "checkpoint is a directory": (
+        ["predict-ner", "--ckpt", "{dir}", "--corpus", "{dir}", "--out", "{dir}/ents.tsv"],
+        "{dir}"),
+    "tokenize output is a directory": (
+        ["tokenize", "--in", "{dir}/abstracts.tsv", "--out", "{dir}"], "{dir}"),
+    "align-stats report is a directory": (
+        ["align-stats", "--corpus", "{dir}", "--report", "{dir}"], "{dir}"),
+    "analyze output is an existing file": (
+        ["analyze", "--gold", "{dir}", "--pred-ents", "{dir}/ents.tsv",
+         "--pred-rels", "{dir}/rels.tsv", "--out", "{dir}/abstracts.tsv"],
+        "{dir}/abstracts.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_ERRORS))
+def test_os_error_is_one_error_naming_the_path(micro_dir, capsys, case):
+    argv, named = OS_ERRORS[case]
+    # prediction records that parse, so that analyze reaches its output
+    (micro_dir / "ents.tsv").write_bytes(ENTITY_RECORD)
+    (micro_dir / "rels.tsv").write_bytes(b"")
+    assert main([arg.format(dir=micro_dir) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert repr(named.format(dir=micro_dir)) in err[0], err
+
+
 def test_score_with_loss_report_builds_each_document_view_once(tmp_path, monkeypatch):
     from chemspan.alignment import DocView
 
@@ -485,9 +541,9 @@ def test_score_with_loss_report_builds_each_document_view_once(tmp_path, monkeyp
     built = []
     original = DocView.build.__func__
 
-    def counting_build(cls, doc, segmenter=None):
+    def counting_build(cls, doc):
         built.append(doc.doc_id)
-        return original(cls, doc, segmenter)
+        return original(cls, doc)
 
     monkeypatch.setattr(DocView, "build", classmethod(counting_build))
     assert main(["score", "--gold", str(corpus), "--pred", str(pred), "--task", "ner",

@@ -157,7 +157,7 @@ def test_candidates_never_extend_into_context():
     docs = [doc_one_sentence(), doc_nested()]
     for ex in model.prepare_documents(docs):
         for c in ex.candidates:
-            assert 0 <= c.token_start <= c.token_end < ex.windowed.n_sent
+            assert 0 <= c.token_start <= c.token_end < len(ex.token_chars)
 
 
 def test_every_candidate_gets_exactly_one_label_with_probability():

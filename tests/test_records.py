@@ -189,5 +189,4 @@ def test_default_config_record():
                 "batch_size": 16, "lr": 3e-3},
         "relation": {"variant": "C", "head_hidden": 64, "context_window": 100, "epochs": 10,
                      "batch_size": 16, "lr": 3e-3},
-        "seeds": 5,
     }

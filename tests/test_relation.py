@@ -375,9 +375,9 @@ def test_e2e_builds_each_document_view_once(monkeypatch):
     built = []
     original = DocView.build.__func__
 
-    def counting_build(cls, doc, segmenter=None):
+    def counting_build(cls, doc):
         built.append(doc.doc_id)
-        return original(cls, doc, segmenter)
+        return original(cls, doc)
 
     monkeypatch.setattr(DocView, "build", classmethod(counting_build))
     docs = [gold_doc(), Document("d2", "Nothing here.", "", "Nothing here. ")]
