@@ -18,8 +18,9 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Union
 
 from .alignment import (
     DocView,
@@ -60,10 +61,25 @@ from .scoring import (
 )
 
 
-def _write_lines(path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _lines(records: Iterable[str]) -> str:
+    return "".join(record + "\n" for record in records)
+
+
+def _write_files(texts: Dict[Union[str, Path], str]) -> None:
+    """Write each path's text, opening every path before writing to any.
+
+    A path that cannot be opened fails the command before any content is
+    written, so a failed run leaves no output that looks complete.
+    """
+    with ExitStack() as stack:
+        files = [(stack.enter_context(open(path, "w", encoding="utf-8")), text)
+                 for path, text in texts.items()]
+        for fh, text in files:
+            fh.write(text)
+
+
+def _json_text(record) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def _views_by_doc(docs) -> Dict[str, DocView]:
@@ -159,7 +175,7 @@ def cmd_tokenize(args) -> int:
             for t in tokens:
                 lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
                              f"{t.surface}\t{t.char_start}\t{t.char_end}")
-    _write_lines(args.out, lines)
+    _write_files({args.out: _lines(lines)})
     print(f"wrote {len(lines)} token records to {args.out}")
     return 0
 
@@ -167,12 +183,10 @@ def cmd_tokenize(args) -> int:
 def cmd_align_stats(args) -> int:
     docs = load_corpus_dir(args.corpus)
     report = compute_loss_report(docs)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(render_loss_report(report))
+    text = render_loss_report(report)
     items_path = args.items or f"{args.report}.items.tsv"
-    with open(items_path, "w", encoding="utf-8") as fh:
-        fh.write(render_lost_items(report))
-    print(render_loss_report(report), end="")
+    _write_files({args.report: text, items_path: render_lost_items(report)})
+    print(text, end="")
     print(f"lost-item records written to {items_path}")
     return 0
 
@@ -197,7 +211,7 @@ def cmd_predict_ner(args) -> int:
     mentions = []
     for doc in docs:
         mentions.extend(model.predict_view(DocView.build(doc)))
-    _write_lines(args.out, _entity_records(mentions))
+    _write_files({args.out: _lines(_entity_records(mentions))})
     print(f"wrote {len(mentions)} entity records to {args.out}")
     return 0
 
@@ -225,7 +239,7 @@ def cmd_predict_re(args) -> int:
         for k, id_mentions in recoverable_gold_mentions(view).items():
             mentions = [m for _, m in id_mentions]
             records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
-    _write_lines(args.out, records)
+    _write_files({args.out: _lines(records)})
     print(f"wrote {len(records)} relation records to {args.out}")
     return 0
 
@@ -240,10 +254,12 @@ def cmd_predict_e2e(args) -> int:
         mentions, relations = predict_view(ner_model, re_model, view)
         entity_records.extend(_entity_records(mentions))
         relation_records.extend(_relation_records(relations, view))
-    _write_lines(args.out_rels, relation_records)
+    outputs = {args.out_rels: _lines(relation_records)}
+    if args.out_ents:
+        outputs[args.out_ents] = _lines(entity_records)
+    _write_files(outputs)
     print(f"wrote {len(relation_records)} relation records to {args.out_rels}")
     if args.out_ents:
-        _write_lines(args.out_ents, entity_records)
         print(f"wrote {len(entity_records)} entity records to {args.out_ents}")
     return 0
 
@@ -272,11 +288,10 @@ def cmd_score(args) -> int:
         gold = gold_relation_set(docs) - lost_relations
         predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
         report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
+    if args.out:
+        _write_files({args.out: _json_text(report.to_record())})
     print(render_score_report(report), end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_record(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
         print(f"machine-readable report written to {args.out}")
     return 0
 
@@ -289,14 +304,11 @@ def cmd_analyze(args) -> int:
     breakdown = analyze(docs, pred_entities, pred_relations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(render_report(breakdown), encoding="utf-8")
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(breakdown.to_record(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for category, _attr in CATEGORY_ITEMS:
-        (out / f"{category}.tsv").write_text(
-            render_category_items(breakdown, category), encoding="utf-8")
-    print(render_report(breakdown), end="")
+    text = render_report(breakdown)
+    _write_files({out / "report.txt": text, out / "report.json": _json_text(breakdown.to_record()),
+                  **{out / f"{category}.tsv": render_category_items(breakdown, category)
+                     for category, _attr in CATEGORY_ITEMS}})
+    print(text, end="")
     print(f"report and per-category dumps written to {out}")
     return 0
 

@@ -206,8 +206,10 @@ class TinyEncoder:
     def backward(self, cache, d_out: np.ndarray, grads: Params) -> None:
         """Accumulate parameter gradients for one sequence into ``grads``.
 
-        Reads ``cache`` and ``d_out`` without changing them, so one forward
-        pass can serve the backward passes of several outputs.
+        Reads ``cache`` and ``d_out`` without changing them. For a fixed
+        cache the gradients are linear in ``d_out``, so several outputs read
+        from one forward pass need one backward over the sum of their output
+        gradients; that equals a backward per output up to float order.
         """
         if cache.get("rows") is not None:
             raise ValueError("backward needs a forward over every row; this one had rows")

@@ -280,24 +280,27 @@ class NerModel(EncoderModel):
     def loss_and_grads(self, batch: Sequence[NerExample]):
         """Mean cross-entropy over every candidate span in the batch.
 
-        Examples sharing a window share one forward pass; each example runs
-        its own backward, in batch order, and a window's cache is dropped
-        after its last example.
+        Each distinct window runs one forward and one backward pass: the
+        examples sharing it add their span gradients into one output
+        gradient, which is backpropagated at the window's last example, where
+        its cache is dropped. The encoder's gradients equal those of one
+        backward per example up to the order of float summation.
         """
         grads = self.zero_grads()
         total_spans = sum(len(ex.candidates) for ex in batch)
         if total_spans == 0:
             return 0.0, grads
         last_use = {id(ex.windowed.symbols): i for i, ex in enumerate(batch) if ex.candidates}
-        forwards: Dict[int, tuple] = {}  # id of a window's symbols -> (h, cache)
+        windows: Dict[int, tuple] = {}  # id of a window's symbols -> (h, cache, dh)
         loss = 0.0
         for i, ex in enumerate(batch):
             if not ex.candidates:
                 continue
             key = id(ex.windowed.symbols)
-            if key not in forwards:
-                forwards[key] = self.encoder.forward(ex.windowed.symbols)
-            h, cache = forwards.pop(key) if last_use[key] == i else forwards[key]
+            if key not in windows:
+                h, cache = self.encoder.forward(ex.windowed.symbols)
+                windows[key] = h, cache, np.zeros_like(h)
+            h, cache, dh = windows.pop(key) if last_use[key] == i else windows[key]
             reps = self._span_reps(ex, h)
             probs = _softmax_rows(self._logits(reps))
             rows = np.arange(len(ex.candidates))
@@ -310,11 +313,11 @@ class NerModel(EncoderModel):
             dreps = dlogits @ self.head["ner.w"].T
             d = self.encoder.dim
             starts, ends, widths = ex.span_index
-            dh = np.zeros_like(h)
             np.add.at(dh, starts, dreps[:, :d])
             np.add.at(dh, ends, dreps[:, d:2 * d])
             np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
-            self.encoder.backward(cache, dh, grads)
+            if last_use[key] == i:
+                self.encoder.backward(cache, dh, grads)
         return loss / total_spans, grads
 
 

@@ -271,3 +271,55 @@ def classify_full(model, instance):
     probs = e / e.sum()
     pick = int(probs.argmax())
     return pick, float(probs[pick])
+
+
+# ---------------------------------------------------------------------------
+# NER training oracle: one forward and one backward per example
+
+# How far the real NER training, which backpropagates once per window over
+# the summed gradients of the sentences in it, may drift from this oracle:
+# the gradients of one batch and the per-epoch loss curve (relative), and the
+# parameters after a few epochs (absolute). Measured on micro: 6.7e-16,
+# 3e-16 and 1.0e-12.
+NER_GRAD_TOLERANCE = 1e-12
+NER_CURVE_TOLERANCE = 1e-12
+NER_PARAM_TOLERANCE = 1e-10
+
+
+def ner_loss_and_grads_per_example(model, batch):
+    """``NerModel.loss_and_grads`` with every example encoded and backpropagated alone.
+
+    Examples run in batch order, each with its own forward pass, its own
+    output gradient and its own encoder backward, so no two sentences'
+    gradients meet before the encoder's parameter gradients.
+    """
+    grads = model.zero_grads()
+    total_spans = sum(len(ex.candidates) for ex in batch)
+    if total_spans == 0:
+        return 0.0, grads
+    d = model.encoder.dim
+    head = model.head
+    loss = 0.0
+    for ex in batch:
+        if not ex.candidates:
+            continue
+        h, cache = model.encoder.forward(ex.windowed.symbols)
+        starts, ends, widths = ex.span_index
+        reps = np.concatenate([h[starts], h[ends], head["ner.width_emb"][widths]], axis=1)
+        logits = reps @ head["ner.w"] + head["ner.b"]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        rows = np.arange(len(ex.candidates))
+        loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
+        dlogits = probs
+        dlogits[rows, ex.labels] -= 1.0
+        dlogits /= total_spans
+        grads["ner.w"] += reps.T @ dlogits
+        grads["ner.b"] += dlogits.sum(axis=0)
+        dreps = dlogits @ head["ner.w"].T
+        dh = np.zeros_like(h)
+        np.add.at(dh, starts, dreps[:, :d])
+        np.add.at(dh, ends, dreps[:, d:2 * d])
+        np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
+        model.encoder.backward(cache, dh, grads)
+    return loss / total_spans, grads

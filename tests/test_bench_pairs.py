@@ -1,0 +1,75 @@
+"""The summary that tools/bench_pairs.py writes, on hand-written samples.
+
+No benchmark runs here: only the pure summarising functions are exercised.
+"""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def pairs_of(metric, parent_values, change_values):
+    return [{"parent": {"metrics": {metric: p}}, "change": {"metrics": {metric: c}}}
+            for p, c in zip(parent_values, change_values)]
+
+
+def test_quartiles_interpolate_between_samples():
+    assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == {
+        "q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {
+        "q1": 1.75, "median": 2.5, "q3": 3.25}
+    assert bench_pairs.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_lower_is_better_counts_wins_per_pair_and_ties_for_neither():
+    parent = [6.0, 5.8, 5.6, 5.9, 6.1, 5.7, 5.8, 6.0, 5.9, 4.0]
+    change = [4.2, 4.3, 3.9, 4.5, 4.1, 4.4, 4.0, 4.2, 5.9, 4.1]
+    (summary,) = bench_pairs.summarize(pairs_of("t", parent, change), {"t": "lower"}).values()
+    assert summary["wins"] == {"change": 8, "parent": 1, "tie": 1}
+    assert summary["pairs"] == 10
+    assert summary["parent"]["median"] == pytest.approx(5.85)
+    assert summary["change"]["median"] == pytest.approx(4.2)
+    assert summary["gain"] is False  # 8 of 10 wins: below nine tenths
+
+
+def test_gain_needs_nine_tenths_of_wins_and_a_margin_beyond_the_parent_spread():
+    parent = [6.0, 5.8, 5.6, 5.9, 6.1, 5.7, 5.8, 6.0, 5.9, 5.8]
+    fast = [4.2, 4.3, 3.9, 4.5, 4.1, 4.4, 4.0, 4.2, 5.9, 4.1]  # one tie, nine wins
+    summary = bench_pairs.summarize(pairs_of("t", parent, fast), {"t": "lower"})["t"]
+    assert summary["wins"] == {"change": 9, "parent": 0, "tie": 1}
+    assert summary["gain"] is True
+    barely = [p - 0.01 for p in parent]  # wins every pair, by less than the parent's spread
+    summary = bench_pairs.summarize(pairs_of("t", parent, barely), {"t": "lower"})["t"]
+    assert summary["wins"]["change"] == 10
+    assert summary["gain"] is False
+
+
+def test_higher_is_better_reverses_the_direction():
+    parent = [100.0, 110.0, 105.0]
+    change = [90.0, 120.0, 105.0]
+    summary = bench_pairs.summarize(pairs_of("r", parent, change), {"r": "higher"})["r"]
+    assert summary["wins"] == {"change": 1, "parent": 1, "tie": 1}
+    assert summary["better"] == "higher"
+
+
+def test_a_run_without_the_metric_leaves_its_pair_out():
+    pairs = pairs_of("t", [6.0, 5.0, 4.0], [3.0, 2.0, 1.0])
+    pairs[1]["change"] = {"exit": 1, "metrics": {}}
+    summary = bench_pairs.summarize(pairs, {"t": "lower", "absent": "lower"})
+    assert set(summary) == {"t"}
+    assert summary["t"]["pairs"] == 2
+    assert summary["t"]["parent"]["median"] == 5.0
+
+
+def test_seed_range_is_inclusive():
+    assert bench_pairs.seed_range("131-134") == [131, 132, 133, 134]
+    assert bench_pairs.seed_range("7") == [7]
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.seed_range("5-3")

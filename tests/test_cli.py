@@ -1,6 +1,7 @@
 """End-to-end command-line tests over small temporary corpora."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,6 +529,48 @@ def test_os_error_is_one_error_naming_the_path(micro_dir, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert repr(named.format(dir=micro_dir)) in err[0], err
+
+
+# ---------------------------------------------------------------------------
+# a command that cannot open one of its outputs writes and prints nothing
+
+# case -> (argv, the path made a directory so that opening it fails, outputs
+# the command would otherwise write before it); {dir} is the corpus directory
+BLOCKED_OUTPUTS = {
+    "score --out is a directory": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv",
+         "--out", "{dir}/blocked"], "{dir}/blocked", []),
+    "align-stats --items is a directory": (
+        ["align-stats", "--corpus", "{dir}", "--report", "{dir}/loss.txt",
+         "--items", "{dir}/blocked"], "{dir}/blocked", ["{dir}/loss.txt"]),
+    "analyze report.json is a directory": (
+        ["analyze", "--gold", "{dir}", "--pred-ents", "{dir}/ents.tsv",
+         "--pred-rels", "{dir}/rels.tsv", "--out", "{dir}/analysis"],
+        "{dir}/analysis/report.json", ["{dir}/analysis/report.txt"]),
+    "predict-e2e --out-ents is a directory": (
+        ["predict-e2e", "--ner-ckpt", "{dir}/ner.ckpt", "--re-ckpt", "{dir}/re.ckpt",
+         "--corpus", "{dir}", "--out-rels", "{dir}/rels.out", "--out-ents", "{dir}/blocked"],
+        "{dir}/blocked", ["{dir}/rels.out"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_OUTPUTS))
+def test_unopenable_output_leaves_no_complete_looking_output(micro_dir, capsys, case):
+    argv, blocked, earlier = BLOCKED_OUTPUTS[case]
+    (micro_dir / "ents.tsv").write_bytes(ENTITY_RECORD)
+    (micro_dir / "rels.tsv").write_bytes(b"")
+    save_ner_model(micro_dir / "ner.ckpt", NerModel(tiny_cfg(), seed=0))
+    save_re_model(micro_dir / "re.ckpt", RelationModel(tiny_cfg(), seed=0))
+    blocked_dir = Path(blocked.format(dir=micro_dir))
+    blocked_dir.mkdir(parents=True)
+    assert main([arg.format(dir=micro_dir) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert repr(str(blocked_dir)) in err, err
+    for path in earlier:
+        path = Path(path.format(dir=micro_dir))
+        assert not path.exists() or path.stat().st_size == 0, path
 
 
 def test_score_with_loss_report_builds_each_document_view_once(tmp_path, monkeypatch):

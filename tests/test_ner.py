@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from chemspan.config import EncoderConfig, NerConfig, PipelineConfig
+from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationConfig
 from chemspan.corpus import Document, GoldEntity
+from chemspan.encoder import grad_check
 from chemspan.errors import OverLengthError, TrainingDivergedError
 from chemspan.ner import (
+    NerExample,
     NerModel,
     SpanCandidate,
+    WindowedInput,
     build_windowed_input,
     enumerate_spans,
     span_count,
@@ -268,6 +271,30 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(diverging_epoch):
     assert err.value.grad_norm == pytest.approx(squares ** 0.5, rel=1e-12)
     assert err.value.grad_norm > 0.0
     assert f"gradient norm {err.value.grad_norm!r}" in str(err.value)
+
+
+def test_gradients_of_a_batch_sharing_a_window_match_finite_differences():
+    # gate 06's config and thresholds, over a batch whose first two sentences
+    # share one window object, so their output gradients are summed
+    cfg = PipelineConfig(
+        encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=32),
+        ner=NerConfig(max_span_width=3, width_dim=4, context_window=4),
+        relation=RelationConfig(variant="F", head_hidden=8, context_window=4))
+    shared = ["Na", "+", "binds", "NKCC", "1", "and", "K", "+"]
+    alone = ["Cl", "-", "blocks", "it"]
+
+    def example(sent_id, symbols, offset, n_tokens):
+        candidates = enumerate_spans(n_tokens, cfg.ner.max_span_width, sent_id)
+        labels = np.array([(i + sent_id) % 3 for i in range(len(candidates))], dtype=np.int64)
+        return NerExample("d", sent_id, WindowedInput(symbols, offset), candidates, labels,
+                          [(0, 1)] * n_tokens)
+
+    batch = [example(0, shared, 0, 5), example(1, alone, 0, 4), example(2, shared, 5, 3)]
+    model = NerModel(cfg, seed=5)
+    err = grad_check(lambda: model.loss_and_grads(batch)[0],
+                     lambda: model.loss_and_grads(batch)[1],
+                     model.parameters(), 1e-4)
+    assert err < 1e-3
 
 
 def test_gold_wider_than_span_limit_is_not_supervised():

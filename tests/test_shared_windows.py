@@ -1,5 +1,7 @@
 """NER windows are shared objects: each distinct window is encoded once."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,15 @@ from chemspan.relation import (
     predict_view,
 )
 
-from oracles import predict_per_sentence, sentence_window, unshared_windows
+from oracles import (
+    NER_CURVE_TOLERANCE,
+    NER_GRAD_TOLERANCE,
+    NER_PARAM_TOLERANCE,
+    ner_loss_and_grads_per_example,
+    predict_per_sentence,
+    sentence_window,
+    unshared_windows,
+)
 
 
 def window_ids(examples):
@@ -115,7 +125,7 @@ def test_predict_view_encodes_each_window_once_and_each_pair_once(doc, cfg, coun
     assert len(counted_forward) == len(window_ids(examples)) + pairs
 
 
-def test_training_batch_runs_one_forward_per_window_and_one_backward_per_example(
+def test_training_batch_runs_one_forward_per_window_and_one_backward_per_window(
         counted_forward, monkeypatch):
     backwards = []
     original = TinyEncoder.backward
@@ -129,8 +139,9 @@ def test_training_batch_runs_one_forward_per_window_and_one_backward_per_example
     examples = model.prepare_documents(load_micro_corpus())
     counted_forward.clear()
     model.loss_and_grads(examples)
-    assert len(counted_forward) == 10
-    assert backwards == [len(ex.windowed.symbols) for ex in examples]
+    last_use = {id(ex.windowed.symbols): i for i, ex in enumerate(examples)}
+    assert len(counted_forward) == len(backwards) == 10
+    assert backwards == [len(examples[i].windowed.symbols) for i in sorted(last_use.values())]
 
 
 @pytest.mark.parametrize("docs, config", [
@@ -149,20 +160,53 @@ def test_predict_e2e_equals_the_per_sentence_oracle(docs, config):
     assert got == want  # probabilities included, compared with ==
 
 
-def test_training_equals_the_unshared_oracle_bitwise():
-    def train(share):
-        model = NerModel(PipelineConfig(), seed=3)
-        examples = model.prepare_documents(load_micro_corpus())
-        curve = train_ner(model, examples if share else unshared_windows(examples),
-                          epochs=3, seed=3)
-        return curve, model.parameters()
+def train_micro(loss_and_grads=None, share=True, batch_size=None, seed=3):
+    """Three epochs of NER training on micro: the loss curve and the parameters.
 
-    shared_curve, shared = train(True)
-    alone_curve, alone = train(False)
-    assert shared_curve == alone_curve
-    assert shared.keys() == alone.keys()
-    for key in shared:
-        assert np.array_equal(shared[key], alone[key]), key
+    ``loss_and_grads`` replaces the model's own, e.g. by the per-example oracle.
+    """
+    config = PipelineConfig()
+    if batch_size is not None:
+        config = dataclasses.replace(
+            config, ner=dataclasses.replace(config.ner, batch_size=batch_size))
+    model = NerModel(config, seed=seed)
+    if loss_and_grads is not None:
+        model.loss_and_grads = lambda batch: loss_and_grads(model, batch)
+    examples = model.prepare_documents(load_micro_corpus())
+    curve = train_ner(model, examples if share else unshared_windows(examples),
+                      epochs=3, seed=seed)
+    return curve, model.parameters()
+
+
+def test_training_equals_the_unshared_oracle_bitwise():
+    # unshared windows, or one sentence per batch: no window has two sentences
+    # in a batch, so there are no output gradients to sum
+    for share, batch_size in [(False, None), (True, 1)]:
+        curve, params = train_micro(share=share, batch_size=batch_size)
+        want_curve, want = train_micro(ner_loss_and_grads_per_example, share, batch_size)
+        assert curve == want_curve, (share, batch_size)
+        assert params.keys() == want.keys()
+        for key in params:
+            assert np.array_equal(params[key], want[key]), (share, batch_size, key)
+
+
+def test_shared_window_training_equals_the_per_example_oracle_within_tolerance():
+    model = NerModel(PipelineConfig(), seed=3)
+    examples = model.prepare_documents(load_micro_corpus())
+    assert len(window_ids(examples)) < len(examples)
+    loss, grads = model.loss_and_grads(examples)
+    want_loss, want_grads = ner_loss_and_grads_per_example(model, examples)
+    assert loss == pytest.approx(want_loss, rel=NER_CURVE_TOLERANCE, abs=0)
+    for key in grads:
+        np.testing.assert_allclose(grads[key], want_grads[key], rtol=0,
+                                   atol=NER_GRAD_TOLERANCE, err_msg=key)
+
+    curve, params = train_micro()
+    want_curve, want = train_micro(ner_loss_and_grads_per_example)
+    assert curve == pytest.approx(want_curve, rel=NER_CURVE_TOLERANCE, abs=0)
+    for key in params:
+        np.testing.assert_allclose(params[key], want[key], rtol=0,
+                                   atol=NER_PARAM_TOLERANCE, err_msg=key)
 
 
 def test_each_surface_is_hashed_once_per_encoder(monkeypatch):
