@@ -7,8 +7,8 @@
 
 For each workload and each seed in the inclusive range, the pair runs
 ``python3 bench/run.py --workload W --seed S --seconds 40 --trace 0`` once
-in each checkout, the parent first in even pairs and the change first in odd
-ones. Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
+in each checkout, the parent first in even pairs and the change first in
+odd ones; the seconds are ``run_seconds`` of the change's ``BENCHMARK.json``. Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
 prediction fingerprints and environment are kept. Per end-to-end metric the
 record gives each side's median and quartiles and how many pairs each side
 won, in the direction ``BENCHMARK.json`` calls better; ties count for
@@ -119,15 +119,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of bench/run.py; repeat for several")
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = float(benchmark["run_seconds"])
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "trace": 0,
         "checkouts": {side: {"commit": git_head(path), "source_sha256": source_digest(path)}
                       for side, path in checkouts.items()},
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: exit {pair[side]['exit']}, "
                       f"failed {pair[side]['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
