@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import Document, GoldEntity, Sentence, _ints, read_tsv, segment
-from .errors import CorpusFormatError
 from .tokenizer import Token, tokenize_sentence
 
 REASON_UNALIGNABLE = "unalignable"
@@ -245,15 +244,3 @@ def parse_loss_report(text, path="<loss report>") -> LossReport:
         elif key in _REPORT_COUNTS:
             setattr(report, key, _ints(path, line_no, key, value)[0])
     return report
-
-
-def parse_lost_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str, str, str]]]:
-    """Read `render_lost_items` output back; a malformed row raises CorpusFormatError."""
-    path = "<lost items>"
-    entities, relations = [], []
-    for line_no, cols in read_tsv(path, 4, 6, data=text.encode("utf-8")):
-        if {"entity": 4, "relation": 6}.get(cols[0]) != len(cols):
-            raise CorpusFormatError(path, line_no, "row", "expected entity with 4 fields or "
-                                    f"relation with 6, got {cols[0]!r} with {len(cols)}")
-        (entities if cols[0] == "entity" else relations).append(tuple(cols[1:]))
-    return entities, relations

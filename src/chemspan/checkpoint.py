@@ -21,14 +21,17 @@ from .relation import RelationModel
 
 MAGIC = b"CSPNCKPT"
 FORMAT_VERSION = 1
+HEADER = struct.Struct("<III q")  # format version, encoder dim, block count, seed
 
 
 def save_checkpoint(path, kind: str, dim: int, blocks: int, seed: int,
                     config: dict, params: Dict[str, np.ndarray]) -> None:
+    # packed before the file is opened, so a value the header cannot hold leaves no file
+    header = HEADER.pack(FORMAT_VERSION, dim, blocks, seed)
+    blob = json.dumps({"kind": kind, "config": config}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III q", FORMAT_VERSION, dim, blocks, seed))
-        blob = json.dumps({"kind": kind, "config": config}, sort_keys=True).encode("utf-8")
+        fh.write(header)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(params)))
@@ -59,7 +62,7 @@ def load_checkpoint(path) -> Tuple[str, dict, Tuple[int, int, int], Dict[str, np
     with open(path, "rb") as fh:
         if _read_exact(fh, len(MAGIC), "magic") != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        version, dim, blocks, seed = struct.unpack("<III q", _read_exact(fh, 20, "header"))
+        version, dim, blocks, seed = HEADER.unpack(_read_exact(fh, HEADER.size, "header"))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})")
@@ -131,6 +134,8 @@ def _load_model(path, expected_kind: str, factory):
         if current[name].shape != value.shape:
             raise CheckpointError(f"{path}: array {name} has shape {value.shape}, "
                                   f"config implies {current[name].shape}")
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"{path}: array {name} holds NaN or infinity")
         current[name][...] = value
     return model
 

@@ -16,11 +16,12 @@ through the gold corpus tokenization.
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Union
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from .alignment import (
     DocView,
@@ -65,15 +66,23 @@ def _lines(records: Iterable[str]) -> str:
     return "".join(record + "\n" for record in records)
 
 
-def _write_files(texts: Dict[Union[str, Path], str]) -> None:
-    """Write each path's text, opening every path before writing to any.
+def _write_files(outputs: Sequence[Tuple[str, Union[str, Path], str]]) -> None:
+    """Write each (option, path, text), opening every path before writing to any.
 
-    A path that cannot be opened fails the command before any content is
-    written, so a failed run leaves no output that looks complete.
+    Two outputs that resolve to one file are refused, naming both options,
+    before any file is opened. A path that cannot be opened fails the command
+    before any content is written, so a failed run leaves no output that
+    looks complete.
     """
+    named = {}  # resolved path -> the option and path that named it first
+    for option, path, _text in outputs:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ChemspanError(f"{named[real]} and {option} {path} name the same file")
+        named[real] = f"{option} {path}"
     with ExitStack() as stack:
         files = [(stack.enter_context(open(path, "w", encoding="utf-8")), text)
-                 for path, text in texts.items()]
+                 for _option, path, text in outputs]
         for fh, text in files:
             fh.write(text)
 
@@ -175,7 +184,7 @@ def cmd_tokenize(args) -> int:
             for t in tokens:
                 lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
                              f"{t.surface}\t{t.char_start}\t{t.char_end}")
-    _write_files({args.out: _lines(lines)})
+    _write_files([("--out", args.out, _lines(lines))])
     print(f"wrote {len(lines)} token records to {args.out}")
     return 0
 
@@ -185,7 +194,8 @@ def cmd_align_stats(args) -> int:
     report = compute_loss_report(docs)
     text = render_loss_report(report)
     items_path = args.items or f"{args.report}.items.tsv"
-    _write_files({args.report: text, items_path: render_lost_items(report)})
+    _write_files([("--report", args.report, text),
+                  ("--items", items_path, render_lost_items(report))])
     print(text, end="")
     print(f"lost-item records written to {items_path}")
     return 0
@@ -211,7 +221,7 @@ def cmd_predict_ner(args) -> int:
     mentions = []
     for doc in docs:
         mentions.extend(model.predict_view(DocView.build(doc)))
-    _write_files({args.out: _lines(_entity_records(mentions))})
+    _write_files([("--out", args.out, _lines(_entity_records(mentions)))])
     print(f"wrote {len(mentions)} entity records to {args.out}")
     return 0
 
@@ -239,7 +249,7 @@ def cmd_predict_re(args) -> int:
         for k, id_mentions in recoverable_gold_mentions(view).items():
             mentions = [m for _, m in id_mentions]
             records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
-    _write_files({args.out: _lines(records)})
+    _write_files([("--out", args.out, _lines(records))])
     print(f"wrote {len(records)} relation records to {args.out}")
     return 0
 
@@ -254,9 +264,9 @@ def cmd_predict_e2e(args) -> int:
         mentions, relations = predict_view(ner_model, re_model, view)
         entity_records.extend(_entity_records(mentions))
         relation_records.extend(_relation_records(relations, view))
-    outputs = {args.out_rels: _lines(relation_records)}
+    outputs = [("--out-rels", args.out_rels, _lines(relation_records))]
     if args.out_ents:
-        outputs[args.out_ents] = _lines(entity_records)
+        outputs.append(("--out-ents", args.out_ents, _lines(entity_records)))
     _write_files(outputs)
     print(f"wrote {len(relation_records)} relation records to {args.out_rels}")
     if args.out_ents:
@@ -289,7 +299,7 @@ def cmd_score(args) -> int:
         predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
         report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
     if args.out:
-        _write_files({args.out: _json_text(report.to_record())})
+        _write_files([("--out", args.out, _json_text(report.to_record()))])
     print(render_score_report(report), end="")
     if args.out:
         print(f"machine-readable report written to {args.out}")
@@ -305,9 +315,10 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = render_report(breakdown)
-    _write_files({out / "report.txt": text, out / "report.json": _json_text(breakdown.to_record()),
-                  **{out / f"{category}.tsv": render_category_items(breakdown, category)
-                     for category, _attr in CATEGORY_ITEMS}})
+    _write_files([("--out", out / "report.txt", text),
+                  ("--out", out / "report.json", _json_text(breakdown.to_record()))]
+                 + [("--out", out / f"{category}.tsv", render_category_items(breakdown, category))
+                    for category, _attr in CATEGORY_ITEMS])
     print(text, end="")
     print(f"report and per-category dumps written to {out}")
     return 0

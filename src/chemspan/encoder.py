@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import NonFiniteError, OverLengthError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, OverLengthError, TrainingDivergedError
 
 log = logging.getLogger(__name__)
 
@@ -78,13 +78,12 @@ def _ln_backward(dy, xhat, inv_std, gamma):
 class TinyEncoder:
     """Hashed embeddings + positions + attention blocks, all trainable."""
 
-    def __init__(self, dim, blocks, buckets, max_len, seed, ffn_dim=None):
+    def __init__(self, dim, blocks, ffn_dim, buckets, max_len, seed):
         self.dim = dim
         self.blocks = blocks
-        self.ffn_dim = ffn_dim if ffn_dim is not None else 2 * dim
+        self.ffn_dim = ffn_dim
         self.buckets = buckets
         self.max_len = max_len
-        self.seed = seed
         self._bucket_of: Dict[str, int] = {}  # surface -> surface_bucket, filled by _rows
         self._bucket_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_bucket_of), its buckets)
         self._longest = 0  # longest input forward has seen
@@ -109,10 +108,6 @@ class TinyEncoder:
             p[f"b{b}.ln2_g"] = np.ones(dim)
             p[f"b{b}.ln2_b"] = np.zeros(dim)
         self.params = p
-
-    def config_dict(self) -> dict:
-        return {"dim": self.dim, "blocks": self.blocks, "ffn_dim": self.ffn_dim,
-                "buckets": self.buckets, "max_len": self.max_len}
 
     # -- symbol lookup ------------------------------------------------------
 
@@ -303,6 +298,9 @@ class EncoderModel:
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
+        # numpy's generators take no negative seed; a checkpoint stores it as an i64
+        if not 0 <= seed < 2 ** 63:
+            raise ConfigError(f"seed {seed} is outside [0, 2**63)")
         self.config = config or PipelineConfig()
         self.seed = seed
         self.encoder = TinyEncoder(**dataclasses.asdict(self.config.encoder), seed=seed)
@@ -314,29 +312,26 @@ class EncoderModel:
         return merged
 
     def zero_grads(self) -> Params:
-        grads = self.encoder.zero_grads()
-        grads.update({k: np.zeros(v.shape) for k, v in self.head.items()})
-        return grads
+        return {k: np.zeros(v.shape) for k, v in self.parameters().items()}
 
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
-            epochs: Optional[int] = None, seed: int = 0) -> List[float]:
+            seed: int) -> List[float]:
         """Adam over seeded random batches; returns the per-epoch mean loss.
 
-        ``settings`` is the config section that gives ``batch_size`` and
-        ``lr``, and ``epochs`` when the argument is None. Each batch's mean
-        loss counts ``weight(batch)`` times in its epoch's mean. Zero epochs
-        is a no-op that leaves the model untouched. Any non-finite loss
-        aborts immediately with the epoch, the step, the last finite epoch
-        loss and the batch's gradient norm in the error.
+        ``settings`` is the config section that gives ``epochs``,
+        ``batch_size`` and ``lr``. Each batch's mean loss counts
+        ``weight(batch)`` times in its epoch's mean. Zero epochs is a no-op
+        that leaves the model untouched. Any non-finite loss aborts
+        immediately with the epoch, the step, the last finite epoch loss and
+        the batch's gradient norm in the error.
         """
         if not labeled:
             log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
             return []
-        epochs = settings.epochs if epochs is None else epochs
         opt = Adam(self.parameters(), lr=settings.lr)
         rng = np.random.default_rng(seed)
         curve = []
-        for epoch in range(epochs):
+        for epoch in range(settings.epochs):
             order = rng.permutation(len(labeled))
             epoch_loss = 0.0
             total = 0

@@ -321,12 +321,11 @@ class NerModel(EncoderModel):
         return loss / total_spans, grads
 
 
-def train_ner(model: NerModel, examples: Sequence[NerExample], epochs: Optional[int] = None,
-              seed: int = 0) -> List[float]:
+def train_ner(model: NerModel, examples: Sequence[NerExample], seed: int = 0) -> List[float]:
     """Adam training over prepared sentences; returns per-epoch mean loss.
 
     Each batch counts in the epoch mean by its number of candidate spans.
     """
     labeled = [ex for ex in examples if ex.labels is not None]
     return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
-                     model.config.ner, epochs, seed)
+                     model.config.ner, seed)

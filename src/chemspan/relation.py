@@ -304,10 +304,10 @@ def prediction_instances(model: RelationModel, view: DocView, sent_idx: int,
 
 
 def train_re(model: RelationModel, instances: Sequence[RelationInstance],
-             epochs: Optional[int] = None, seed: int = 0) -> List[float]:
+             seed: int = 0) -> List[float]:
     """Adam training over labeled instances; returns per-epoch mean loss."""
     labeled = [inst for inst in instances if inst.label is not None]
-    return model.fit(labeled, len, model.config.relation, epochs, seed)
+    return model.fit(labeled, len, model.config.relation, seed)
 
 
 @dataclass(frozen=True)

@@ -73,3 +73,59 @@ def test_seed_range_is_inclusive():
     assert bench_pairs.seed_range("7") == [7]
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.seed_range("5-3")
+
+
+def test_gain_counts_wins_over_every_pair_run():
+    # the change wins both pairs that produced the metric, but one of its runs failed
+    pairs = pairs_of("t", [6.0, 5.0, 4.0], [3.0, 2.0, 1.0])
+    pairs[1]["change"] = {"exit": 1, "failed": None, "metrics": {}}
+    summary = bench_pairs.summarize(pairs, {"t": "lower"})["t"]
+    assert summary["wins"]["change"] == 2
+    assert (summary["pairs"], summary["runs"]) == (2, 3)
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert summary["gain"] is False
+
+
+def test_no_gain_when_the_change_fails_more_runs_than_the_parent():
+    parent = [6.0, 5.8, 5.6, 5.9, 6.1, 5.7, 5.8, 6.0, 5.9, 5.8]
+    fast = [p - 2.0 for p in parent]
+    pairs = pairs_of("t", parent, fast)
+    assert bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain"] is True
+    pairs[4]["change"]["failed"] = 1  # a failed check, though the run exited 0
+    summary = bench_pairs.summarize(pairs, {"t": "lower"})["t"]
+    assert summary["wins"]["change"] == 10
+    assert summary["gain"] is False
+    pairs[7]["parent"]["exit"] = 1  # as many failed runs on both sides
+    assert bench_pairs.summarize(pairs, {"t": "lower"})["t"]["gain"] is True
+
+
+def verdict(parent, change, direction="lower", bound=0.25):
+    summary = bench_pairs.summarize(pairs_of("t", parent, change), {"t": direction},
+                                    {"t": bound})
+    return summary["t"]["regression"]
+
+
+def test_regression_is_worse_beyond_the_bound_of_the_parent_median():
+    parent = [4.0, 4.1, 3.9, 4.0, 4.2, 3.8]  # median 4.0, so the bound allows 1.0
+    assert verdict(parent, [p + 1.1 for p in parent]) == "worse"
+    assert verdict(parent, [p + 0.9 for p in parent]) == "ok"
+    # higher is better: a drop beyond 25% of 100 docs/s
+    assert verdict([100.0, 101.0, 99.0], [70.0, 72.0, 71.0], "higher") == "worse"
+    assert verdict([100.0, 101.0, 99.0], [80.0, 82.0, 81.0], "higher") == "ok"
+
+
+def test_regression_is_unresolved_when_the_parent_spreads_beyond_the_bound():
+    parent = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]  # median 3.5 allows 0.875; quartiles 2.5 apart
+    assert verdict(parent, [3.5, 3.6, 3.4, 3.5, 3.6, 3.4]) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(parent, [0.5, 0.6, 0.4, 0.5, 0.6, 0.4]) == "ok"
+    assert verdict(parent, [0.5, 0.6, 0.4, 0.5, 0.6, 1.0]) == "unresolved"
+
+
+def test_regression_is_given_only_for_metrics_with_a_bound():
+    pairs = pairs_of("t", [1.0, 2.0], [1.0, 2.0])
+    for pair in pairs:
+        pair["parent"]["metrics"]["u"] = pair["change"]["metrics"]["u"] = 1.0
+    summary = bench_pairs.summarize(pairs, {"t": "lower", "u": "lower"}, {"u": 0.1})
+    assert "regression" not in summary["t"]
+    assert summary["u"]["regression"] == "ok"

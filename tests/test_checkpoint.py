@@ -15,6 +15,7 @@ from chemspan.checkpoint import (
     CheckpointError,
     load_ner_model,
     load_re_model,
+    save_checkpoint,
     save_ner_model,
     save_re_model,
 )
@@ -157,3 +158,68 @@ def test_one_flipped_byte_loads_or_raises_checkpoint_error(valid_checkpoints, ki
         loader(path)
     except CheckpointError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# non-finite weights and unstorable seeds
+
+
+def non_finite_checkpoint(tmp_path, kind, value):
+    """A checkpoint of the tiny model with ``value`` in its last head bias."""
+    model = (NerModel if kind == "ner" else RelationModel)(tiny_cfg(), seed=0)
+    name = "ner.b" if kind == "ner" else "re.b2"
+    model.head[name][0] = value
+    path = tmp_path / f"non-finite-{kind}.ckpt"
+    (save_ner_model if kind == "ner" else save_re_model)(path, model)
+    return path, name
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["ner", "re"])
+def test_non_finite_weights_are_refused_at_load(tmp_path, kind, value):
+    path, name = non_finite_checkpoint(tmp_path, kind, value)
+    with pytest.raises(CheckpointError, match=f"array {name} holds NaN or infinity"):
+        (load_ner_model if kind == "ner" else load_re_model)(path)
+
+
+def test_the_first_non_finite_array_is_named(tmp_path):
+    model = NerModel(tiny_cfg(), seed=0)
+    model.head["ner.w"][0, 0] = float("inf")
+    model.encoder.params["tok_emb"][0, 0] = float("nan")
+    model.head["ner.b"][0] = float("nan")
+    path = tmp_path / "ner.ckpt"
+    save_ner_model(path, model)
+    with pytest.raises(CheckpointError, match="array ner.b holds"):
+        load_ner_model(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["predict-ner", "predict-e2e"])
+def test_predicting_with_non_finite_weights_is_one_error_line(tmp_path, capsys, command, value):
+    corpus = tmp_path / "corpus"
+    save_corpus(build_micro_corpus()[:1], corpus)
+    ner_path, name = non_finite_checkpoint(tmp_path, "ner", value)
+    out = tmp_path / "out.tsv"
+    if command == "predict-ner":
+        argv = ["predict-ner", "--ckpt", str(ner_path), "--corpus", str(corpus),
+                "--out", str(out)]
+    else:
+        re_path = tmp_path / "re.ckpt"
+        save_re_model(re_path, RelationModel(tiny_cfg(), seed=0))
+        argv = ["predict-e2e", "--ner-ckpt", str(ner_path), "--re-ckpt", str(re_path),
+                "--corpus", str(corpus), "--out-rels", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"array {name}" in err[0], err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_seed_the_header_cannot_hold_leaves_no_file(tmp_path):
+    model = NerModel(tiny_cfg(), seed=0)
+    path = tmp_path / "seed.ckpt"
+    with pytest.raises(struct.error):
+        save_checkpoint(path, "ner", 8, 1, 2 ** 63, model.config.to_dict(), model.parameters())
+    assert not path.exists()

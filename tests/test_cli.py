@@ -573,6 +573,56 @@ def test_unopenable_output_leaves_no_complete_looking_output(micro_dir, capsys, 
         assert not path.exists() or path.stat().st_size == 0, path
 
 
+# case -> (argv, the two options, the path both name, bytes there beforehand or None)
+SAME_FILE_OUTPUTS = {
+    "predict-e2e --out-rels and --out-ents": (
+        ["predict-e2e", "--ner-ckpt", "{dir}/ner.ckpt", "--re-ckpt", "{dir}/re.ckpt",
+         "--corpus", "{dir}", "--out-rels", "{dir}/out.tsv", "--out-ents", "{dir}/out.tsv"],
+        ("--out-rels", "--out-ents"), "{dir}/out.tsv", None),
+    "align-stats --report and --items": (
+        ["align-stats", "--corpus", "{dir}", "--report", "{dir}/loss.txt",
+         "--items", "{dir}/loss.txt"], ("--report", "--items"), "{dir}/loss.txt", None),
+    "predict-e2e --out-ents an alias of --out-rels": (
+        ["predict-e2e", "--ner-ckpt", "{dir}/ner.ckpt", "--re-ckpt", "{dir}/re.ckpt",
+         "--corpus", "{dir}", "--out-rels", "{dir}/w/r.tsv", "--out-ents", "{dir}/w/./r.tsv"],
+        ("--out-rels", "--out-ents"), "{dir}/w/r.tsv", b"kept\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_FILE_OUTPUTS))
+def test_two_outputs_naming_one_file_are_refused_before_any_is_opened(micro_dir, capsys, case):
+    argv, options, path, before = SAME_FILE_OUTPUTS[case]
+    save_ner_model(micro_dir / "ner.ckpt", NerModel(tiny_cfg(), seed=0))
+    save_re_model(micro_dir / "re.ckpt", RelationModel(tiny_cfg(), seed=0))
+    path = Path(path.format(dir=micro_dir))
+    path.parent.mkdir(exist_ok=True)
+    if before is not None:
+        path.write_bytes(before)
+    assert main([arg.format(dir=micro_dir) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert all(option in err for option in options), err
+    if before is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+@pytest.mark.parametrize("command", ["train-ner", "train-re"])
+def test_a_seed_outside_the_stored_range_exits_2_before_training(
+        micro_dir, config_path, tmp_path, capsys, command, seed):
+    out = tmp_path / "model.ckpt"
+    assert main([command, "--corpus", str(micro_dir), "--config", str(config_path),
+                 "--seed", seed, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"seed {seed}" in err[0], err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_score_with_loss_report_builds_each_document_view_once(tmp_path, monkeypatch):
     from chemspan.alignment import DocView
 

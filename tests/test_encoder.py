@@ -18,10 +18,11 @@ from chemspan.errors import NonFiniteError, OverLengthError
 from oracles import central_difference
 
 TOKENS = ["Contribution", "of", "the", "Na", "+", "cotransporter"]
+TINY = {"dim": 8, "blocks": 2, "ffn_dim": 16, "buckets": 13, "max_len": 32}
 
 
 def tiny():
-    return TinyEncoder(dim=8, blocks=2, ffn_dim=16, buckets=13, max_len=32, seed=3)
+    return TinyEncoder(**TINY, seed=3)
 
 
 def test_output_has_one_vector_per_symbol():
@@ -42,8 +43,8 @@ def test_encoding_is_deterministic():
 
 
 def test_seed_changes_parameters():
-    a = TinyEncoder(dim=8, blocks=1, buckets=13, max_len=32, seed=0)
-    b = TinyEncoder(dim=8, blocks=1, buckets=13, max_len=32, seed=1)
+    a = TinyEncoder(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=32, seed=0)
+    b = TinyEncoder(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=32, seed=1)
     assert not np.array_equal(a.params["tok_emb"], b.params["tok_emb"])
 
 
@@ -175,8 +176,7 @@ def test_adam_moves_parameters_toward_lower_loss():
 def test_checkpoint_round_trip(tmp_path):
     enc = tiny()
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(path, "encoder", enc.dim, enc.blocks, enc.seed,
-                    enc.config_dict(), enc.params)
+    save_checkpoint(path, "encoder", enc.dim, enc.blocks, 3, TINY, enc.params)
     kind, config, (dim, blocks, seed), params = load_checkpoint(path)
     assert (kind, dim, blocks, seed) == ("encoder", 8, 2, 3)
     assert config["buckets"] == 13
@@ -195,8 +195,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_checkpoint_rejects_truncation(tmp_path):
     enc = tiny()
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(path, "encoder", enc.dim, enc.blocks, enc.seed,
-                    enc.config_dict(), enc.params)
+    save_checkpoint(path, "encoder", enc.dim, enc.blocks, 3, TINY, enc.params)
     data = path.read_bytes()
     path.write_bytes(data[:-5])
     with pytest.raises(CheckpointError):
@@ -206,8 +205,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_checkpoint_rejects_wrong_version(tmp_path):
     enc = tiny()
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(path, "encoder", enc.dim, enc.blocks, enc.seed,
-                    enc.config_dict(), enc.params)
+    save_checkpoint(path, "encoder", enc.dim, enc.blocks, 3, TINY, enc.params)
     data = bytearray(path.read_bytes())
     data[8] = 99  # first byte of the little-endian version field
     path.write_bytes(bytes(data))

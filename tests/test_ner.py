@@ -191,9 +191,9 @@ def test_classification_is_deterministic():
 
 
 def test_single_sentence_overfits_to_exact_spans():
-    model = NerModel(small_config(), seed=0)
+    model = NerModel(small_config(epochs=80), seed=0)
     examples = model.prepare_documents([doc_one_sentence()])
-    curve = train_ner(model, examples, epochs=80, seed=0)
+    curve = train_ner(model, examples, seed=0)
     assert curve[-1] < 0.1 * curve[0]  # loss collapsed
     mentions = model.predict_mentions(examples[0])
     found = {(m.char_start, m.char_end, m.etype) for m in mentions}
@@ -201,19 +201,19 @@ def test_single_sentence_overfits_to_exact_spans():
 
 
 def test_nested_golds_are_predicted_simultaneously():
-    model = NerModel(small_config(), seed=1)
+    model = NerModel(small_config(epochs=120), seed=1)
     examples = model.prepare_documents([doc_nested()])
-    train_ner(model, examples, epochs=120, seed=1)
+    train_ner(model, examples, seed=1)
     found = {(m.char_start, m.char_end, m.etype) for m in model.predict_mentions(examples[0])}
     assert {(0, 25, "GENE"), (0, 3, "CHEMICAL"), (4, 6, "CHEMICAL"),
             (32, 35, "CHEMICAL")} <= found
 
 
 def test_zero_epochs_changes_nothing():
-    model = NerModel(small_config(), seed=0)
+    model = NerModel(small_config(epochs=0), seed=0)
     examples = model.prepare_documents([doc_one_sentence()])
     before = {k: v.copy() for k, v in model.parameters().items()}
-    assert train_ner(model, examples, epochs=0, seed=0) == []
+    assert train_ner(model, examples, seed=0) == []
     after = model.parameters()
     for key in before:
         np.testing.assert_array_equal(before[key], after[key])
@@ -221,9 +221,9 @@ def test_zero_epochs_changes_nothing():
 
 def test_fixed_seed_reproduces_parameters_exactly():
     def run():
-        model = NerModel(small_config(), seed=4)
+        model = NerModel(small_config(epochs=5), seed=4)
         examples = model.prepare_documents([doc_one_sentence(), doc_nested()])
-        curve = train_ner(model, examples, epochs=5, seed=4)
+        curve = train_ner(model, examples, seed=4)
         return curve, model.parameters()
 
     curve_a, params_a = run()
@@ -234,24 +234,24 @@ def test_fixed_seed_reproduces_parameters_exactly():
 
 
 def test_non_finite_loss_aborts_with_diagnostics():
-    model = NerModel(small_config(), seed=0)
+    model = NerModel(small_config(epochs=1), seed=0)
     examples = model.prepare_documents([doc_one_sentence()])
     model.head["ner.w"][0, 0] = float("nan")
     with pytest.raises(TrainingDivergedError) as err:
-        train_ner(model, examples, epochs=1, seed=0)
+        train_ner(model, examples, seed=0)
     assert err.value.epoch == 0
 
 
 @pytest.mark.parametrize("diverging_epoch", [0, 2])
 def test_divergence_reports_last_finite_loss_and_gradient_norm(diverging_epoch):
-    def model_and_examples():
-        model = NerModel(small_config(batch_size=1), seed=0)
+    def model_and_examples(epochs):
+        model = NerModel(small_config(batch_size=1, epochs=epochs), seed=0)
         return model, model.prepare_documents([doc_one_sentence(), doc_nested()])
 
-    reference, examples = model_and_examples()
+    reference, examples = model_and_examples(diverging_epoch)
     steps_per_epoch = len(examples)
-    curve = train_ner(reference, examples, epochs=diverging_epoch, seed=0)
-    model, examples = model_and_examples()
+    curve = train_ner(reference, examples, seed=0)
+    model, examples = model_and_examples(diverging_epoch + 1)
     real = model.loss_and_grads
     batch_grads = []
 
@@ -264,7 +264,7 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(diverging_epoch):
 
     model.loss_and_grads = loss_and_grads
     with pytest.raises(TrainingDivergedError) as err:
-        train_ner(model, examples, epochs=diverging_epoch + 1, seed=0)
+        train_ner(model, examples, seed=0)
     assert (err.value.epoch, err.value.step) == (diverging_epoch, 0)
     assert err.value.last_loss == (curve[-1] if curve else None)
     squares = sum(float(x) * float(x) for g in batch_grads[-1].values() for x in g.flat)

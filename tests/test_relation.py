@@ -249,32 +249,32 @@ def test_classification_is_deterministic():
 
 
 def test_single_instance_overfits_to_its_label():
-    model = RelationModel(small_config(), seed=0)
+    model = RelationModel(small_config(epochs=60), seed=0)
     inst = build_one_instance(model, ["aspirin", "inhibits", "COX", "2"], (0, 0), (2, 3))
     inst.label = RELATION_LABELS.index("CPR:4")
-    train_re(model, [inst], epochs=60, seed=0)
+    train_re(model, [inst], seed=0)
     label, prob = model.classify(inst)
     assert label == "CPR:4"
     assert prob > 0.99
 
 
 def test_training_with_no_instances_is_a_noop():
-    model = RelationModel(small_config(), seed=0)
+    model = RelationModel(small_config(epochs=5), seed=0)
     before = {k: v.copy() for k, v in model.parameters().items()}
-    assert train_re(model, [], epochs=5, seed=0) == []
+    assert train_re(model, [], seed=0) == []
     for key, value in model.parameters().items():
         np.testing.assert_array_equal(before[key], value)
 
 
 def test_fixed_seed_reproduces_training_exactly():
     def run():
-        model = RelationModel(small_config(), seed=3)
+        model = RelationModel(small_config(epochs=4), seed=3)
         insts = []
         for i, label in enumerate((1, 2, 0, 4)):
             inst = build_one_instance(model, [f"w{i}", "verb", "gene", str(i)], (0, 0), (2, 2))
             inst.label = label
             insts.append(inst)
-        curve = train_re(model, insts, epochs=4, seed=3)
+        curve = train_re(model, insts, seed=3)
         return curve, model.parameters()
 
     curve_a, params_a = run()

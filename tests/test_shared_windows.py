@@ -165,7 +165,7 @@ def train_micro(loss_and_grads=None, share=True, batch_size=None):
 
     ``loss_and_grads`` replaces the model's own, e.g. by the per-example oracle.
     """
-    config = PipelineConfig()
+    config = PipelineConfig(ner=NerConfig(epochs=3))
     if batch_size is not None:
         config = dataclasses.replace(
             config, ner=dataclasses.replace(config.ner, batch_size=batch_size))
@@ -173,8 +173,7 @@ def train_micro(loss_and_grads=None, share=True, batch_size=None):
     if loss_and_grads is not None:
         model.loss_and_grads = lambda batch: loss_and_grads(model, batch)
     examples = model.prepare_documents(load_micro_corpus())
-    curve = train_ner(model, examples if share else unshared_windows(examples),
-                      epochs=3, seed=3)
+    curve = train_ner(model, examples if share else unshared_windows(examples), seed=3)
     return curve, model.parameters()
 
 
@@ -219,7 +218,7 @@ def test_each_surface_is_hashed_once_per_encoder(monkeypatch):
 
     monkeypatch.setattr(chemspan.encoder, "surface_bucket", surface_bucket)
     symbols = [SPECIAL_SYMBOLS[0], "a", "b", "a", SPECIAL_SYMBOLS[1], "c", "b"]
-    first, second = (TinyEncoder(dim=8, blocks=1, buckets=13, max_len=16, seed=0)
+    first, second = (TinyEncoder(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=16, seed=0)
                      for _ in range(2))
     h = first.encode(symbols)
     first.encode(symbols[::-1])

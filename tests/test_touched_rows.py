@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chemspan.encoder
+from chemspan.config import NerConfig, PipelineConfig, RelationConfig
 from chemspan.encoder import Adam, TinyEncoder, surface_bucket
 from chemspan.microcorpus import load_micro_corpus
 from chemspan.ner import NerModel, train_ner
@@ -84,12 +85,13 @@ def test_touched_row_adam_equals_dense_adam_every_step(schedule):
 
 def train_three_epochs(task, seed):
     docs = load_micro_corpus()
+    config = PipelineConfig(ner=NerConfig(epochs=3), relation=RelationConfig(epochs=3))
     if task == "ner":
-        model = NerModel(seed=seed)
-        curve = train_ner(model, model.prepare_documents(docs), epochs=3, seed=seed)
+        model = NerModel(config, seed=seed)
+        curve = train_ner(model, model.prepare_documents(docs), seed=seed)
     else:
-        model = RelationModel(seed=seed)
-        curve = train_re(model, gold_training_instances(model, docs), epochs=3, seed=seed)
+        model = RelationModel(config, seed=seed)
+        curve = train_re(model, gold_training_instances(model, docs), seed=seed)
     return model, curve
 
 

@@ -8,13 +8,22 @@
 For each workload and each seed in the inclusive range, the pair runs
 ``python3 bench/run.py --workload W --seed S --seconds 40 --trace 0`` once
 in each checkout, the parent first in even pairs and the change first in
-odd ones; the seconds are ``run_seconds`` of the change's ``BENCHMARK.json``. Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
+odd ones; the seconds are ``run_seconds`` of the change's ``BENCHMARK.json``.
+Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
 prediction fingerprints and environment are kept. Per end-to-end metric the
-record gives each side's median and quartiles and how many pairs each side
-won, in the direction ``BENCHMARK.json`` calls better; ties count for
-neither. ``gain`` says whether the change won at least nine tenths of the
-pairs and its median is better than the parent's by more than the distance
-between the parent's quartiles. Standard library only.
+record gives each side's median and quartiles, its failed runs (non-zero exit
+or ``failed`` > 0), and how many pairs each side won, in the direction
+``BENCHMARK.json`` calls better; ties, and pairs where either run produced no
+value, count for neither.
+
+``gain`` says whether the change won at least nine tenths of all the pairs
+run, its median is better than the parent's by more than the distance
+between the parent's quartiles, and it failed no more runs than the parent.
+``regression`` applies the metric's ``bound``: ``worse`` when the change's
+median is worse than the parent's by more than bound x |parent median|;
+``unresolved`` when the parent's quartiles lie further apart than that
+amount, unless every change run beats every parent run; ``ok`` otherwise.
+Standard library only.
 """
 
 import argparse
@@ -37,14 +46,36 @@ def quartiles(values: List[float]) -> Dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
-    """Per metric of ``better``: each side's quartiles, wins per pair, and the gain rule.
+def failed_run(run: dict) -> bool:
+    """Whether a run exited non-zero or reported a failed check."""
+    return run.get("exit", 0) != 0 or bool(run.get("failed"))
+
+
+def regression(parent: List[float], change: List[float], sign: float, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric; ``sign`` is +1 when higher is better."""
+    sides = quartiles(parent), quartiles(change)
+    allowed = bound * abs(sides[0]["median"])
+    if sign * (sides[1]["median"] - sides[0]["median"]) < -allowed:
+        return "worse"
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    if sides[0]["q3"] - sides[0]["q1"] > allowed and not separated:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: List[dict], better: Dict[str, str],
+              bounds: Optional[Dict[str, float]] = None) -> Dict[str, dict]:
+    """Per metric of ``better``: each side's quartiles, wins per pair, the gain
+    rule and, for a metric in ``bounds``, the regression verdict.
 
     ``pairs`` holds ``{"parent": run, "change": run}`` where a run is a dict
-    with ``"metrics"`` (name -> value); a run that produced no value for a
-    metric leaves its pair out of that metric. ``better`` maps a metric name
-    to ``"lower"`` or ``"higher"``.
+    with ``"metrics"`` (name -> value) and optionally ``"exit"`` and
+    ``"failed"``; a run that produced no value for a metric leaves its pair
+    out of that metric's quartiles and wins, but not out of the pairs the
+    gain rule counts. ``better`` maps a metric name to ``"lower"`` or
+    ``"higher"``; ``bounds`` maps it to its relative bound.
     """
+    failed = {side: sum(failed_run(p[side]) for p in pairs) for side in SIDES}
     out = {}
     for name, direction in sorted(better.items()):
         complete = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
@@ -64,10 +95,16 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
         out[name] = {
             "better": direction,
             "pairs": len(complete),
+            "runs": len(pairs),
+            "failed_runs": failed,
             **sides,
             "wins": wins,
-            "gain": wins["change"] >= 0.9 * len(complete) and margin > spread,
+            "gain": (wins["change"] >= 0.9 * len(pairs) and margin > spread
+                     and failed["change"] <= failed["parent"]),
         }
+        if bounds and name in bounds:
+            out[name]["regression"] = regression(
+                [p for p, _ in complete], [c for _, c in complete], sign, bounds[name])
     return out
 
 
@@ -124,6 +161,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = float(benchmark["run_seconds"])
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
@@ -143,7 +181,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: exit {pair[side]['exit']}, "
                       f"failed {pair[side]['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
-        record["workloads"][workload] = {"summary": summarize(pairs, better), "pairs": pairs}
+        record["workloads"][workload] = {"summary": summarize(pairs, better, bounds),
+                                         "pairs": pairs}
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
