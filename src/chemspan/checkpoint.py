@@ -66,6 +66,8 @@ def load_checkpoint(path) -> Tuple[str, dict, Tuple[int, int, int], Dict[str, np
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})")
+        if seed < 0:  # the header field is an i64, so the upper end of [0, 2**63) holds
+            raise CheckpointError(f"{path}: header seed {seed} is outside [0, 2**63)")
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         try:
             meta = json.loads(_read_exact(fh, blob_len, "config").decode("utf-8"))

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .alignment import (
     DocView,
@@ -39,7 +39,15 @@ from .checkpoint import (
     save_re_model,
 )
 from .config import load_config
-from .corpus import ENTITY_TYPES, EVAL_GROUPS, _ints, load_corpus, load_corpus_dir, read_tsv
+from .corpus import (
+    CORPUS_FILES,
+    ENTITY_TYPES,
+    EVAL_GROUPS,
+    _ints,
+    load_corpus,
+    load_corpus_dir,
+    read_tsv,
+)
 from .errors import ChemspanError, CorpusFormatError
 from .ner import NerModel, train_ner
 from .relation import (
@@ -66,20 +74,54 @@ def _lines(records: Iterable[str]) -> str:
     return "".join(record + "\n" for record in records)
 
 
-def _write_files(outputs: Sequence[Tuple[str, Union[str, Path], str]]) -> None:
+Named = Tuple[str, Union[str, Path]]  # (option, path) of a file a command reads
+
+
+def _corpus_inputs(option: str, corpus_dir) -> List[Named]:
+    """The files ``load_corpus_dir(corpus_dir)`` can read, as command inputs."""
+    return [(option, Path(corpus_dir) / name) for name in CORPUS_FILES]
+
+
+def _file_id(path) -> Optional[Tuple[int, int]]:
+    """(device, inode) of an existing file, or None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(outputs: Sequence[Tuple], inputs: Sequence[Named]) -> None:
+    """Refuse an output that resolves to another output or is an input file, naming both.
+
+    ``outputs`` hold (option, path, ...). An output and an input are one
+    file when they share device and inode, so hard links and symbolic links
+    count; an input that does not exist is not read and cannot be
+    overwritten. A ``stat`` costs a few microseconds where ``realpath``
+    costs tens, and a command has up to a dozen inputs.
+    """
+    read = {_file_id(path): f"input {option} {path}" for option, path in inputs}
+    read.pop(None, None)
+    named = {}  # resolved path -> the option and path that named it first
+    for option, path, *_ in outputs:
+        real = os.path.realpath(path)
+        first = named.get(real) or read.get(_file_id(path))
+        if first:
+            raise ChemspanError(f"{first} and {option} {path} name the same file")
+        named[real] = f"{option} {path}"
+
+
+def _write_files(outputs: Sequence[Tuple[str, Union[str, Path], str]],
+                 inputs: Sequence[Named]) -> None:
     """Write each (option, path, text), opening every path before writing to any.
 
-    Two outputs that resolve to one file are refused, naming both options,
-    before any file is opened. A path that cannot be opened fails the command
-    before any content is written, so a failed run leaves no output that
-    looks complete.
+    An output that is one of the (option, path) ``inputs`` the command
+    read, or resolves to another output, is refused by `_check_outputs`
+    before any file is opened. A path that cannot be opened fails the
+    command before any content is written, so a failed run leaves no output
+    that looks complete.
     """
-    named = {}  # resolved path -> the option and path that named it first
-    for option, path, _text in outputs:
-        real = os.path.realpath(path)
-        if real in named:
-            raise ChemspanError(f"{named[real]} and {option} {path} name the same file")
-        named[real] = f"{option} {path}"
+    _check_outputs(outputs, inputs)
     with ExitStack() as stack:
         files = [(stack.enter_context(open(path, "w", encoding="utf-8")), text)
                  for _option, path, text in outputs]
@@ -184,7 +226,7 @@ def cmd_tokenize(args) -> int:
             for t in tokens:
                 lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
                              f"{t.surface}\t{t.char_start}\t{t.char_end}")
-    _write_files([("--out", args.out, _lines(lines))])
+    _write_files([("--out", args.out, _lines(lines))], [("--in", args.infile)])
     print(f"wrote {len(lines)} token records to {args.out}")
     return 0
 
@@ -195,13 +237,21 @@ def cmd_align_stats(args) -> int:
     text = render_loss_report(report)
     items_path = args.items or f"{args.report}.items.tsv"
     _write_files([("--report", args.report, text),
-                  ("--items", items_path, render_lost_items(report))])
+                  ("--items", items_path, render_lost_items(report))],
+                 _corpus_inputs("--corpus", args.corpus))
     print(text, end="")
     print(f"lost-item records written to {items_path}")
     return 0
 
 
+def _train_inputs(args) -> List[Named]:
+    """A training command's inputs: its corpus files and ``--config`` when given."""
+    config = [("--config", args.config)] if args.config else []
+    return _corpus_inputs("--corpus", args.corpus) + config
+
+
 def cmd_train_ner(args) -> int:
+    _check_outputs([("--out", args.out)], _train_inputs(args))
     cfg = load_config(args.config)
     docs = load_corpus_dir(args.corpus)
     model = NerModel(cfg, seed=args.seed)
@@ -221,12 +271,14 @@ def cmd_predict_ner(args) -> int:
     mentions = []
     for doc in docs:
         mentions.extend(model.predict_view(DocView.build(doc)))
-    _write_files([("--out", args.out, _lines(_entity_records(mentions)))])
+    _write_files([("--out", args.out, _lines(_entity_records(mentions)))],
+                 [("--ckpt", args.ckpt)] + _corpus_inputs("--corpus", args.corpus))
     print(f"wrote {len(mentions)} entity records to {args.out}")
     return 0
 
 
 def cmd_train_re(args) -> int:
+    _check_outputs([("--out", args.out)], _train_inputs(args))
     cfg = load_config(args.config)
     docs = load_corpus_dir(args.corpus)
     model = RelationModel(cfg, seed=args.seed)
@@ -249,7 +301,8 @@ def cmd_predict_re(args) -> int:
         for k, id_mentions in recoverable_gold_mentions(view).items():
             mentions = [m for _, m in id_mentions]
             records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
-    _write_files([("--out", args.out, _lines(records))])
+    _write_files([("--out", args.out, _lines(records))],
+                 [("--ckpt", args.ckpt)] + _corpus_inputs("--corpus", args.corpus))
     print(f"wrote {len(records)} relation records to {args.out}")
     return 0
 
@@ -267,7 +320,8 @@ def cmd_predict_e2e(args) -> int:
     outputs = [("--out-rels", args.out_rels, _lines(relation_records))]
     if args.out_ents:
         outputs.append(("--out-ents", args.out_ents, _lines(entity_records)))
-    _write_files(outputs)
+    _write_files(outputs, [("--ner-ckpt", args.ner_ckpt), ("--re-ckpt", args.re_ckpt)]
+                 + _corpus_inputs("--corpus", args.corpus))
     print(f"wrote {len(relation_records)} relation records to {args.out_rels}")
     if args.out_ents:
         print(f"wrote {len(entity_records)} entity records to {args.out_ents}")
@@ -299,7 +353,10 @@ def cmd_score(args) -> int:
         predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
         report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
     if args.out:
-        _write_files([("--out", args.out, _json_text(report.to_record()))])
+        inputs = [("--pred", args.pred)] + _corpus_inputs("--gold", args.gold)
+        if args.loss_report:
+            inputs.append(("--loss-report", args.loss_report))
+        _write_files([("--out", args.out, _json_text(report.to_record()))], inputs)
     print(render_score_report(report), end="")
     if args.out:
         print(f"machine-readable report written to {args.out}")
@@ -318,7 +375,9 @@ def cmd_analyze(args) -> int:
     _write_files([("--out", out / "report.txt", text),
                   ("--out", out / "report.json", _json_text(breakdown.to_record()))]
                  + [("--out", out / f"{category}.tsv", render_category_items(breakdown, category))
-                    for category, _attr in CATEGORY_ITEMS])
+                    for category, _attr in CATEGORY_ITEMS],
+                 [("--pred-ents", args.pred_ents), ("--pred-rels", args.pred_rels)]
+                 + _corpus_inputs("--gold", args.gold))
     print(text, end="")
     print(f"report and per-category dumps written to {out}")
     return 0

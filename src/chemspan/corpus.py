@@ -316,20 +316,21 @@ def load_corpus(abstracts_path, entities_path=None, relations_path=None,
     return docs
 
 
+# every file load_corpus_dir reads from a corpus directory, the optional ones included
+CORPUS_FILES = ("abstracts.tsv", "entities.tsv", "relations.tsv", "sentences.tsv",
+                "corrections.tsv")
+
+
 def load_corpus_dir(corpus_dir) -> List[Document]:
-    """Load abstracts/entities/relations(.tsv) and optional sentences.tsv."""
-    d = Path(corpus_dir)
-    abstracts = d / "abstracts.tsv"
-    entities = d / "entities.tsv"
-    relations = d / "relations.tsv"
-    sentences = d / "sentences.tsv"
+    """Load abstracts/entities/relations(.tsv) and optional sentences/corrections(.tsv)."""
+    abstracts, entities, relations, sentences, corrections = (
+        Path(corpus_dir) / name for name in CORPUS_FILES)
     docs = load_corpus(
         abstracts,
         entities if entities.exists() else None,
         relations if relations.exists() else None,
         sentences if sentences.exists() else None,
     )
-    corrections = d / "corrections.tsv"
     if corrections.exists():
         fixes = load_corrections(corrections)
         known = {doc.doc_id for doc in docs}

@@ -150,7 +150,7 @@ class TinyEncoder:
 
         With ``rows``, the last block computes keys and values over every
         symbol but everything else only at those rows, and the output holds
-        one vector per row; backward refuses such a cache. The vectors equal
+        one vector per row; backward accepts such a cache. The vectors equal
         the full pass's at those rows up to the rounding of the last block.
         """
         n = len(symbols)
@@ -204,18 +204,23 @@ class TinyEncoder:
         Reads ``cache`` and ``d_out`` without changing them. For a fixed
         cache the gradients are linear in ``d_out``, so several outputs read
         from one forward pass need one backward over the sum of their output
-        gradients; that equals a backward per output up to float order.
+        gradients; that equals a backward per output up to float order. After
+        ``forward(symbols, rows)``, ``d_out`` has one row per chosen row, and
+        only the last block's keys and values run backward at the other rows.
         """
-        if cache.get("rows") is not None:
-            raise ValueError("backward needs a forward over every row; this one had rows")
         p = self.params
         n = cache["n"]
         if n == 0:
             return
+        rows = cache["rows"]
         scale = 1.0 / math.sqrt(self.dim)
         dx = d_out
+        if rows is not None and not self.blocks:
+            dx = np.zeros((n, self.dim))
+            np.add.at(dx, rows, d_out)
         for b in reversed(range(self.blocks)):
             x, q, k, v, att, ctx, ln1_cache, h, u, z, ln2_cache = cache["block"][b]
+            xq = x[rows] if rows is not None and b == self.blocks - 1 else x
             dr2, dg2, db2 = _ln_backward(dx, *ln2_cache, p[f"b{b}.ln2_g"])
             grads[f"b{b}.ln2_g"] += dg2
             grads[f"b{b}.ln2_b"] += db2
@@ -232,7 +237,6 @@ class TinyEncoder:
             grads[f"b{b}.ln1_g"] += dg1
             grads[f"b{b}.ln1_b"] += db1
             dout = dr1
-            dx = dr1.copy()
             grads[f"b{b}.wo"] += ctx.T @ dout
             grads[f"b{b}.bo"] += dout.sum(axis=0)
             dctx = dout @ p[f"b{b}.wo"].T
@@ -241,13 +245,18 @@ class TinyEncoder:
             dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
             dq = (dscores @ k) * scale
             dk = (dscores.T @ q) * scale
-            grads[f"b{b}.wq"] += x.T @ dq
+            grads[f"b{b}.wq"] += xq.T @ dq
             grads[f"b{b}.bq"] += dq.sum(axis=0)
             grads[f"b{b}.wk"] += x.T @ dk
             grads[f"b{b}.bk"] += dk.sum(axis=0)
             grads[f"b{b}.wv"] += x.T @ dv
             grads[f"b{b}.bv"] += dv.sum(axis=0)
-            dx += dq @ p[f"b{b}.wq"].T + dk @ p[f"b{b}.wk"].T + dv @ p[f"b{b}.wv"].T
+            dxq = dq @ p[f"b{b}.wq"].T
+            if xq is x:
+                dx = dr1 + (dxq + dk @ p[f"b{b}.wk"].T + dv @ p[f"b{b}.wv"].T)
+            else:
+                dx = dk @ p[f"b{b}.wk"].T + dv @ p[f"b{b}.wv"].T
+                np.add.at(dx, rows, dr1 + dxq)
         special, idx = cache["special"], cache["idx"]
         grads["pos_emb"][:n] += dx
         hashed = ~special

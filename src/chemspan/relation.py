@@ -168,12 +168,18 @@ class RelationModel(EncoderModel):
 
     # -- representation -------------------------------------------------------
 
-    def _segment_positions(self, instance: RelationInstance) -> List[List[int]]:
-        """Symbol positions each pooled piece averages, in the variant's order."""
+    def _segment_positions(self, instance: RelationInstance, rows=None) -> List[Sequence[int]]:
+        """Symbol positions each pooled piece averages, in the variant's order,
+        or with ``rows`` their indices among those sorted rows."""
         so, sc, oo, oc = instance.marker_positions
         where = {"cls": [0], "s_open": [so], "s_close": [sc], "o_open": [oo],
                  "o_close": [oc], "mid": instance.middle_positions}
-        return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
+        segments = [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
+        return segments if rows is None else [np.searchsorted(rows, pos) for pos in segments]
+
+    def _read_rows(self, instance: RelationInstance) -> List[int]:
+        """The sorted symbol positions the head pools: the encoder's last block runs at these."""
+        return sorted(set().union(*self._segment_positions(instance)))
 
     def build_representation(self, h: np.ndarray, instance: RelationInstance,
                              rows: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -184,11 +190,8 @@ class RelationModel(EncoderModel):
         spans are adjacent, nested, or overlapping. With ``rows``, ``h``
         holds only the vectors at those sorted symbol positions.
         """
-        segments = self._segment_positions(instance)
-        if rows is not None:
-            segments = [np.searchsorted(rows, pos) for pos in segments]
         return np.concatenate([h[pos].mean(axis=0) if len(pos) else np.zeros(h.shape[1])
-                               for pos in segments])
+                               for pos in self._segment_positions(instance, rows)])
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -200,7 +203,7 @@ class RelationModel(EncoderModel):
 
         The encoder's last block runs only at the positions the variant pools.
         """
-        rows = sorted(set().union(*self._segment_positions(instance)))
+        rows = self._read_rows(instance)
         h = self.encoder.encode(instance.symbols, rows)
         rep = self.build_representation(h, instance, rows)
         _, _, probs = self._head_forward(rep)
@@ -208,15 +211,16 @@ class RelationModel(EncoderModel):
         return RELATION_LABELS[pick], float(probs[pick])
 
     def loss_and_grads(self, batch: Sequence[RelationInstance]):
-        """Mean cross-entropy over the batch of labeled instances."""
+        """Mean cross-entropy over the batch, each instance encoded at `classify`'s rows."""
         grads = self.zero_grads()
         if not batch:
             return 0.0, grads
         loss = 0.0
         scale = 1.0 / len(batch)
         for inst in batch:
-            h, cache = self.encoder.forward(inst.symbols)
-            rep = self.build_representation(h, inst)
+            rows = self._read_rows(inst)
+            h, cache = self.encoder.forward(inst.symbols, rows)
+            rep = self.build_representation(h, inst, rows)
             u, z, probs = self._head_forward(rep)
             loss += float(-np.log(probs[inst.label] + 1e-300))
             dlogits = probs.copy()
@@ -231,8 +235,8 @@ class RelationModel(EncoderModel):
             drep = self.head["re.w1"] @ du
             dh = np.zeros_like(h)
             d = self.encoder.dim
-            for k, pos in enumerate(self._segment_positions(inst)):
-                if pos:
+            for k, pos in enumerate(self._segment_positions(inst, rows)):
+                if len(pos):
                     np.add.at(dh, pos, drep[k * d:(k + 1) * d] / len(pos))
             self.encoder.backward(cache, dh, grads)
         return loss * scale, grads

@@ -323,3 +323,57 @@ def ner_loss_and_grads_per_example(model, batch):
         np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
         model.encoder.backward(cache, dh, grads)
     return loss / total_spans, grads
+
+
+# ---------------------------------------------------------------------------
+# RE training oracle: every block over every row
+
+# How far the real RE training, which runs the last block's query side only
+# at the rows the head reads, may drift from this oracle: the gradients of
+# one batch (absolute), the per-epoch loss curve (relative) and the
+# parameters after training (absolute). Measured on micro at seeds 0, 1 and
+# 3 over 10 epochs: 4.4e-16, 1.9e-15 and 5.9e-12. The oracle reproduces the
+# every-row training step bitwise, curve and parameters alike.
+RE_GRAD_TOLERANCE = 1e-12
+RE_CURVE_TOLERANCE = 1e-12
+RE_PARAM_TOLERANCE = 1e-10
+
+
+def re_loss_and_grads_every_row(model, batch):
+    """``RelationModel.loss_and_grads`` with every block run over every row.
+
+    Each instance gets the encoder's forward and backward over all of its
+    symbols; the representation is pooled from the full encoding, and the
+    head's two layers, softmax and cross-entropy are written out.
+    """
+    grads = model.zero_grads()
+    if not batch:
+        return 0.0, grads
+    d = model.encoder.dim
+    head = model.head
+    scale = 1.0 / len(batch)
+    loss = 0.0
+    for inst in batch:
+        h, cache = model.encoder.forward(inst.symbols)
+        rep = model.build_representation(h, inst)
+        u = rep @ head["re.w1"] + head["re.b1"]
+        z = np.maximum(u, 0.0)
+        logits = z @ head["re.w2"] + head["re.b2"]
+        e = np.exp(logits - logits.max())
+        probs = e / e.sum()
+        loss += float(-np.log(probs[inst.label] + 1e-300))
+        dlogits = probs.copy()
+        dlogits[inst.label] -= 1.0
+        dlogits *= scale
+        grads["re.w2"] += np.outer(z, dlogits)
+        grads["re.b2"] += dlogits
+        du = (head["re.w2"] @ dlogits) * (u > 0.0)
+        grads["re.w1"] += np.outer(rep, du)
+        grads["re.b1"] += du
+        drep = head["re.w1"] @ du
+        dh = np.zeros_like(h)
+        for k, pos in enumerate(model._segment_positions(inst)):
+            for p in pos:
+                dh[p] += drep[k * d:(k + 1) * d] / len(pos)
+        model.encoder.backward(cache, dh, grads)
+    return loss * scale, grads

@@ -1,7 +1,10 @@
 """The summary that tools/bench_pairs.py writes, on hand-written samples.
 
-No benchmark runs here: only the pure summarising functions are exercised.
+No benchmark runs here: only the pure parsing and summarising functions are
+exercised.
 """
+
+import json
 
 import argparse
 import importlib.util
@@ -129,3 +132,45 @@ def test_regression_is_given_only_for_metrics_with_a_bound():
     summary = bench_pairs.summarize(pairs, {"t": "lower", "u": "lower"}, {"u": 0.1})
     assert "regression" not in summary["t"]
     assert summary["u"]["regression"] == "ok"
+
+
+RESULT = {"correct": True, "attempted": 410, "failed": 0,
+          "metrics": {"t": {"value": 4.5, "unit": "s"}}}
+REPORT = {"report": {"fingerprints": {"f": "abc"}, "environment": {"nproc": 2}}}
+
+
+def output(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def test_a_run_is_parsed_from_its_last_two_lines():
+    run = bench_pairs.parse_run(0, output("progress", json.dumps(REPORT), json.dumps(RESULT)),
+                                "")
+    assert run == {"exit": 0, "failed": 0, "attempted": 410, "metrics": {"t": 4.5},
+                   "fingerprints": {"f": "abc"}, "environment": {"nproc": 2}}
+    assert not bench_pairs.failed_run(run)
+
+
+@pytest.mark.parametrize("stdout", [
+    "",
+    output(json.dumps(RESULT)),
+    output(json.dumps(REPORT), "not json"),
+    output("not json", json.dumps(RESULT)),
+    output(json.dumps(REPORT), json.dumps({"correct": True})),
+    output(json.dumps(REPORT), json.dumps(dict(RESULT, metrics={"t": {"value": "x"}}))),
+    output(json.dumps(REPORT), "[1, 2]"),
+], ids=["empty", "one-line", "non-json-result", "non-json-report", "no-counts",
+        "non-numeric-value", "result-not-an-object"])
+def test_a_run_that_exits_0_without_a_result_is_failed(stdout):
+    run = bench_pairs.parse_run(0, stdout, "line 1\nTraceback: the tail\n")
+    assert run["exit"] == 0 and run["failed"] is None and run["metrics"] == {}
+    assert run["stderr_tail"] == ["line 1", "Traceback: the tail"]
+    assert bench_pairs.failed_run(run)
+
+
+def test_runs_without_a_result_count_as_failed_runs():
+    pairs = pairs_of("t", [6.0, 5.0, 4.0], [3.0, 2.0, 1.0])
+    pairs[2]["change"] = bench_pairs.parse_run(0, "not json\n", "")
+    summary = bench_pairs.summarize(pairs, {"t": "lower"})["t"]
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert summary["gain"] is False

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chemspan.checkpoint import (
     CheckpointError,
+    load_checkpoint,
     load_ner_model,
     load_re_model,
     save_checkpoint,
@@ -27,6 +28,7 @@ from chemspan.ner import NerModel
 from chemspan.relation import RelationModel
 
 BLOB_LENGTH_AT = 28  # magic (8) + version, dim, blocks (3 x u32) + seed (i64)
+SEED_AT = 20  # magic (8) + version, dim, blocks (3 x u32)
 
 
 def tiny_cfg():
@@ -87,6 +89,7 @@ CORRUPTIONS = {
         raw, lambda m: m["config"]["relation"].update(variant="Z")),
     "header-dim-disagrees": lambda raw: patched(raw, 12, struct.pack("<I", 9)),
     "header-blocks-disagree": lambda raw: patched(raw, 16, struct.pack("<I", 2)),
+    "negative-header-seed": lambda raw: patched(raw, SEED_AT, struct.pack("<q", -5)),
     "array-past-end-of-file": lambda raw: patched(
         raw, first_array_shape_at(raw), struct.pack("<I", 0xFFFFFFFF)),
     "non-utf8-array-name": lambda raw: patched(raw, blob_end(raw) + 6, b"\xff"),
@@ -215,6 +218,17 @@ def test_predicting_with_non_finite_weights_is_one_error_line(tmp_path, capsys, 
     assert len(err) == 1 and err[0].startswith("error:") and f"array {name}" in err[0], err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["ner", "re"])
+def test_a_negative_header_seed_is_a_header_error(tmp_path, kind):
+    path = tmp_path / "seed.ckpt"
+    path.write_bytes(patched(valid_bytes(tmp_path, kind), SEED_AT, struct.pack("<q", -5)))
+    with pytest.raises(CheckpointError, match=r"header seed -5 is outside \[0, 2\*\*63\)") as info:
+        load_checkpoint(path)
+    assert "config blob" not in str(info.value)
+    with pytest.raises(CheckpointError, match="header seed -5"):
+        (load_ner_model if kind == "ner" else load_re_model)(path)
 
 
 def test_a_seed_the_header_cannot_hold_leaves_no_file(tmp_path):

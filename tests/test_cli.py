@@ -1,6 +1,7 @@
 """End-to-end command-line tests over small temporary corpora."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +608,59 @@ def test_two_outputs_naming_one_file_are_refused_before_any_is_opened(micro_dir,
         assert not path.exists()
     else:
         assert path.read_bytes() == before
+
+
+# case -> (argv, the input option, the path both the input and the output name);
+# {dir} is the corpus directory
+INPUT_AS_OUTPUT = {
+    "predict-ner --out the gold entities": (
+        ["predict-ner", "--ckpt", "{dir}/ner.ckpt", "--corpus", "{dir}",
+         "--out", "{dir}/entities.tsv"], "--corpus", "{dir}/entities.tsv"),
+    "predict-e2e --out-ents the NER checkpoint": (
+        ["predict-e2e", "--ner-ckpt", "{dir}/ner.ckpt", "--re-ckpt", "{dir}/re.ckpt",
+         "--corpus", "{dir}", "--out-rels", "{dir}/rels.out", "--out-ents", "{dir}/./ner.ckpt"],
+        "--ner-ckpt", "{dir}/ner.ckpt"),
+    "score --pred X --out X": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv",
+         "--out", "{dir}/ents.tsv"], "--pred", "{dir}/ents.tsv"),
+    "score --out a hard link to --pred": (
+        ["score", "--gold", "{dir}", "--task", "ner", "--pred", "{dir}/ents.tsv",
+         "--out", "{dir}/linked.tsv"], "--pred", "{dir}/ents.tsv"),
+    "analyze with --pred-ents inside --out": (
+        ["analyze", "--gold", "{dir}", "--pred-ents", "{dir}/report.txt",
+         "--pred-rels", "{dir}/rels.tsv", "--out", "{dir}"], "--pred-ents", "{dir}/report.txt"),
+    "align-stats --report the abstracts": (
+        ["align-stats", "--corpus", "{dir}", "--report", "{dir}/abstracts.tsv"],
+        "--corpus", "{dir}/abstracts.tsv"),
+    "tokenize --in X --out X": (
+        ["tokenize", "--in", "{dir}/abstracts.tsv", "--out", "{dir}/abstracts.tsv"],
+        "--in", "{dir}/abstracts.tsv"),
+    "train-ner --out the config": (
+        ["train-ner", "--corpus", "{dir}", "--config", "{dir}/config.json",
+         "--out", "{dir}/config.json"], "--config", "{dir}/config.json"),
+    "train-re --out the relations": (
+        ["train-re", "--corpus", "{dir}", "--out", "{dir}/relations.tsv"],
+        "--corpus", "{dir}/relations.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_AS_OUTPUT))
+def test_an_output_naming_an_input_is_refused_and_the_input_kept(micro_dir, capsys, case):
+    argv, option, path = INPUT_AS_OUTPUT[case]
+    (micro_dir / "ents.tsv").write_bytes(ENTITY_RECORD)
+    os.link(micro_dir / "ents.tsv", micro_dir / "linked.tsv")
+    (micro_dir / "report.txt").write_bytes(ENTITY_RECORD)
+    (micro_dir / "rels.tsv").write_bytes(b"")
+    (micro_dir / "config.json").write_text(json.dumps(small_config_dict()), encoding="utf-8")
+    save_ner_model(micro_dir / "ner.ckpt", NerModel(tiny_cfg(), seed=0))
+    save_re_model(micro_dir / "re.ckpt", RelationModel(tiny_cfg(), seed=0))
+    before = {p.name: p.read_bytes() for p in micro_dir.iterdir()}
+    assert main([arg.format(dir=micro_dir) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert f"input {option} {path.format(dir=micro_dir)} and " in err, err
+    assert {p.name: p.read_bytes() for p in micro_dir.iterdir()} == before
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])

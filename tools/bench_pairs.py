@@ -11,8 +11,8 @@ in each checkout, the parent first in even pairs and the change first in
 odd ones; the seconds are ``run_seconds`` of the change's ``BENCHMARK.json``.
 Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
 prediction fingerprints and environment are kept. Per end-to-end metric the
-record gives each side's median and quartiles, its failed runs (non-zero exit
-or ``failed`` > 0), and how many pairs each side won, in the direction
+record gives each side's median and quartiles, its failed runs (non-zero exit,
+``failed`` > 0, or no parseable result), and how many pairs each side won, in the direction
 ``BENCHMARK.json`` calls better; ties, and pairs where either run produced no
 value, count for neither.
 
@@ -47,8 +47,12 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 
 def failed_run(run: dict) -> bool:
-    """Whether a run exited non-zero or reported a failed check."""
-    return run.get("exit", 0) != 0 or bool(run.get("failed"))
+    """Whether a run exited non-zero, reported a failed check, or gave no result.
+
+    `parse_run` leaves ``failed`` None when the output held no result; a
+    hand-written run without the key counts as exiting 0 with none failed.
+    """
+    return run.get("exit", 0) != 0 or run.get("failed", 0) != 0
 
 
 def regression(parent: List[float], change: List[float], sign: float, bound: float) -> str:
@@ -135,17 +139,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    run = {"exit": done.returncode, "failed": None, "attempted": None, "metrics": {}}
-    lines = done.stdout.strip().splitlines()
-    if done.returncode == 0 and len(lines) >= 2:
+    return parse_run(done.returncode, done.stdout, done.stderr)
+
+
+def parse_run(exit_code: int, stdout: str, stderr: str) -> dict:
+    """One run from its exit code and output: the report and result lines
+    ``bench/run.py`` prints last, or, when they are missing or do not parse,
+    ``failed`` None and the tail of standard error."""
+    run = {"exit": exit_code, "failed": None, "attempted": None, "metrics": {}}
+    lines = stdout.strip().splitlines()
+    try:
         report = json.loads(lines[-2])["report"]
         result = json.loads(lines[-1])
-        run.update(failed=result["failed"], attempted=result["attempted"],
-                   metrics={k: v["value"] for k, v in result["metrics"].items()},
+        run.update(failed=int(result["failed"]), attempted=int(result["attempted"]),
+                   metrics={k: float(v["value"]) for k, v in result["metrics"].items()},
                    fingerprints=report.get("fingerprints"),
                    environment=report.get("environment"))
-    else:
-        run["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    except (IndexError, KeyError, TypeError, ValueError, AttributeError):
+        run["stderr_tail"] = stderr.strip().splitlines()[-5:]
     return run
 
 
