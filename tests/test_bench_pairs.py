@@ -4,10 +4,9 @@ No benchmark runs here: only the pure parsing and summarising functions are
 exercised.
 """
 
-import json
-
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -165,6 +164,12 @@ def test_a_run_that_exits_0_without_a_result_is_failed(stdout):
     run = bench_pairs.parse_run(0, stdout, "line 1\nTraceback: the tail\n")
     assert run["exit"] == 0 and run["failed"] is None and run["metrics"] == {}
     assert run["stderr_tail"] == ["line 1", "Traceback: the tail"]
+    assert bench_pairs.failed_run(run)
+
+
+def test_a_run_that_exits_non_zero_keeps_no_metrics():
+    run = bench_pairs.parse_run(1, output(json.dumps(REPORT), json.dumps(RESULT)), "boom\n")
+    assert run["failed"] is None and run["metrics"] == {} and run["stderr_tail"] == ["boom"]
     assert bench_pairs.failed_run(run)
 
 

@@ -11,10 +11,10 @@ in each checkout, the parent first in even pairs and the change first in
 odd ones; the seconds are ``run_seconds`` of the change's ``BENCHMARK.json``.
 Every run's exit code, ``failed`` and ``attempted`` counts, metrics,
 prediction fingerprints and environment are kept. Per end-to-end metric the
-record gives each side's median and quartiles, its failed runs (non-zero exit,
-``failed`` > 0, or no parseable result), and how many pairs each side won, in the direction
-``BENCHMARK.json`` calls better; ties, and pairs where either run produced no
-value, count for neither.
+record gives each side's median and quartiles, its failed runs (non-zero
+exit, ``failed`` > 0, or no parseable result), and how many pairs each side
+won, in the direction ``BENCHMARK.json`` calls better; ties, and pairs where
+either run produced no value, count for neither.
 
 ``gain`` says whether the change won at least nine tenths of all the pairs
 run, its median is better than the parent's by more than the distance
@@ -144,10 +144,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def parse_run(exit_code: int, stdout: str, stderr: str) -> dict:
     """One run from its exit code and output: the report and result lines
-    ``bench/run.py`` prints last, or, when they are missing or do not parse,
-    ``failed`` None and the tail of standard error."""
+    ``bench/run.py`` prints last, or, after a non-zero exit or when they are
+    missing or do not parse, ``failed`` None and the tail of standard error."""
     run = {"exit": exit_code, "failed": None, "attempted": None, "metrics": {}}
-    lines = stdout.strip().splitlines()
+    lines = stdout.strip().splitlines() if exit_code == 0 else []
     try:
         report = json.loads(lines[-2])["report"]
         result = json.loads(lines[-1])
