@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import logging
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -324,38 +324,46 @@ class EncoderModel:
         return {k: np.zeros(v.shape) for k, v in self.parameters().items()}
 
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
-            seed: int) -> List[float]:
-        """Adam over seeded random batches; returns the per-epoch mean loss.
+            seed: int, key: Optional[Callable[[object], Hashable]] = None) -> List[float]:
+        """Adam over seeded batches of grouped items; returns the per-epoch mean loss.
 
-        ``settings`` is the config section that gives ``epochs``,
-        ``batch_size`` and ``lr``. Each batch's mean loss counts
-        ``weight(batch)`` times in its epoch's mean. Zero epochs is a no-op
-        that leaves the model untouched. Any non-finite loss aborts
-        immediately with the epoch, the step, the last finite epoch loss and
-        the batch's gradient norm in the error.
+        Items with equal ``key(item)`` form a group; without ``key`` each item
+        is its own. Each epoch orders the groups at random and cuts their items,
+        each group's in ``labeled`` order, into ``batch_size`` batches.
+        ``settings`` is the config section that gives ``epochs``, ``batch_size``
+        and ``lr``. Each batch's mean loss counts ``weight(batch)`` times in its
+        epoch's mean. Zero epochs is a no-op that leaves the model untouched.
+        Any non-finite loss aborts at once, without numpy warnings, with the
+        epoch, the step, the last finite epoch loss and the batch's gradient
+        norm in the error.
         """
         if not labeled:
             log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
             return []
+        by_key: Dict[Hashable, List[int]] = {}
+        for i, item in enumerate(labeled):
+            by_key.setdefault(i if key is None else key(item), []).append(i)
+        groups = list(by_key.values())
         opt = Adam(self.parameters(), lr=settings.lr)
         rng = np.random.default_rng(seed)
         curve = []
-        for epoch in range(settings.epochs):
-            order = rng.permutation(len(labeled))
-            epoch_loss = 0.0
-            total = 0
-            for step, lo in enumerate(range(0, len(order), settings.batch_size)):
-                batch = [labeled[i] for i in order[lo:lo + settings.batch_size]]
-                loss, grads = self.loss_and_grads(batch)
-                if not np.isfinite(loss):
-                    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                    raise TrainingDivergedError(epoch, step, loss,
-                                                curve[-1] if curve else None, norm)
-                n = weight(batch)
-                epoch_loss += loss * n
-                total += n
-                opt.step(grads, self.encoder.touched_rows)
-            curve.append(epoch_loss / max(total, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(settings.epochs):
+                order = [i for g in rng.permutation(len(groups)) for i in groups[g]]
+                epoch_loss = 0.0
+                total = 0
+                for step, lo in enumerate(range(0, len(order), settings.batch_size)):
+                    batch = [labeled[i] for i in order[lo:lo + settings.batch_size]]
+                    loss, grads = self.loss_and_grads(batch)
+                    if not np.isfinite(loss):
+                        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                        raise TrainingDivergedError(epoch, step, loss,
+                                                    curve[-1] if curve else None, norm)
+                    n = weight(batch)
+                    epoch_loss += loss * n
+                    total += n
+                    opt.step(grads, self.encoder.touched_rows)
+                curve.append(epoch_loss / max(total, 1))
         return curve
 
 

@@ -325,7 +325,8 @@ def train_ner(model: NerModel, examples: Sequence[NerExample], seed: int = 0) ->
     """Adam training over prepared sentences; returns per-epoch mean loss.
 
     Each batch counts in the epoch mean by its number of candidate spans.
+    Sentences that share a window are batched together: at most windows + batches - 1 passes.
     """
     labeled = [ex for ex in examples if ex.labels is not None]
     return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
-                     model.config.ner, seed)
+                     model.config.ner, seed, key=lambda ex: id(ex.windowed.symbols))

@@ -8,7 +8,7 @@ two-layer ReLU head over {null, CPR:3, CPR:4, CPR:5, CPR:6, CPR:9}.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,6 +120,7 @@ class RelationInstance:
     marker_positions: Tuple[int, int, int, int]  # positions within symbols
     middle_positions: List[int]                  # positions within symbols
     label: Optional[int] = None
+    pooling: Dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class RelationModel(EncoderModel):
@@ -168,18 +169,22 @@ class RelationModel(EncoderModel):
 
     # -- representation -------------------------------------------------------
 
-    def _segment_positions(self, instance: RelationInstance, rows=None) -> List[Sequence[int]]:
-        """Symbol positions each pooled piece averages, in the variant's order,
-        or with ``rows`` their indices among those sorted rows."""
+    def _segment_positions(self, instance: RelationInstance) -> List[Sequence[int]]:
+        """Symbol positions each pooled piece averages, in the variant's order."""
         so, sc, oo, oc = instance.marker_positions
         where = {"cls": [0], "s_open": [so], "s_close": [sc], "o_open": [oo],
                  "o_close": [oc], "mid": instance.middle_positions}
-        segments = [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
-        return segments if rows is None else [np.searchsorted(rows, pos) for pos in segments]
+        return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
 
-    def _read_rows(self, instance: RelationInstance) -> List[int]:
-        """The sorted symbol positions the head pools: the encoder's last block runs at these."""
-        return sorted(set().union(*self._segment_positions(instance)))
+    def _pooling(self, instance: RelationInstance) -> Tuple[List[int], List[np.ndarray]]:
+        """Sorted positions the head pools (the last block runs at these) and each
+        piece's indices among them, kept in ``instance.pooling`` by variant."""
+        variant = self.config.relation.variant
+        if variant not in instance.pooling:
+            segments = self._segment_positions(instance)
+            rows = sorted(set().union(*segments))
+            instance.pooling[variant] = rows, [np.searchsorted(rows, pos) for pos in segments]
+        return instance.pooling[variant]
 
     def build_representation(self, h: np.ndarray, instance: RelationInstance,
                              rows: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -187,11 +192,12 @@ class RelationModel(EncoderModel):
 
         The middle piece is the mean of the contextual vectors of original
         tokens strictly between the spans, and the zero vector when the
-        spans are adjacent, nested, or overlapping. With ``rows``, ``h``
-        holds only the vectors at those sorted symbol positions.
+        spans are adjacent, nested, or overlapping. With ``rows``, the rows
+        `_pooling` gives, ``h`` holds only the vectors at those positions.
         """
+        segments = self._segment_positions(instance) if rows is None else self._pooling(instance)[1]
         return np.concatenate([h[pos].mean(axis=0) if len(pos) else np.zeros(h.shape[1])
-                               for pos in self._segment_positions(instance, rows)])
+                               for pos in segments])
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -203,7 +209,7 @@ class RelationModel(EncoderModel):
 
         The encoder's last block runs only at the positions the variant pools.
         """
-        rows = self._read_rows(instance)
+        rows = self._pooling(instance)[0]
         h = self.encoder.encode(instance.symbols, rows)
         rep = self.build_representation(h, instance, rows)
         _, _, probs = self._head_forward(rep)
@@ -218,7 +224,7 @@ class RelationModel(EncoderModel):
         loss = 0.0
         scale = 1.0 / len(batch)
         for inst in batch:
-            rows = self._read_rows(inst)
+            rows, segments = self._pooling(inst)
             h, cache = self.encoder.forward(inst.symbols, rows)
             rep = self.build_representation(h, inst, rows)
             u, z, probs = self._head_forward(rep)
@@ -235,7 +241,7 @@ class RelationModel(EncoderModel):
             drep = self.head["re.w1"] @ du
             dh = np.zeros_like(h)
             d = self.encoder.dim
-            for k, pos in enumerate(self._segment_positions(inst, rows)):
+            for k, pos in enumerate(segments):
                 if len(pos):
                     np.add.at(dh, pos, drep[k * d:(k + 1) * d] / len(pos))
             self.encoder.backward(cache, dh, grads)

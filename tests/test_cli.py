@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -734,4 +736,26 @@ def test_bad_config_is_one_error_naming_the_key(tmp_path, micro_dir, capsys, cas
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert names in err[0], err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a diverging run reports its error and nothing else; numpy's warnings reach
+# stderr only outside pytest's capture, so the command runs in its own process
+
+
+@pytest.mark.parametrize("command, section", [("train-ner", "ner"), ("train-re", "relation")])
+def test_a_diverging_run_prints_only_its_error(tmp_path, micro_dir, command, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {"lr": 1e308, "epochs": 2}}), encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "chemspan.cli", command, "--corpus",
+                           str(micro_dir), "--config", str(config), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
     assert not out.exists()
