@@ -10,6 +10,7 @@ import json
 import math
 import os
 import struct
+from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -24,25 +25,23 @@ FORMAT_VERSION = 1
 HEADER = struct.Struct("<III q")  # format version, encoder dim, block count, seed
 
 
+def checkpoint_bytes(kind: str, dim: int, blocks: int, seed: int,
+                     config: dict, params: Dict[str, np.ndarray]) -> bytes:
+    """The checkpoint file's bytes; a value the header cannot hold raises struct.error."""
+    blob = json.dumps({"kind": kind, "config": config}, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, HEADER.pack(FORMAT_VERSION, dim, blocks, seed),
+             struct.pack("<I", len(blob)), blob, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        raw_name = name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw_name)), raw_name, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(parts)
+
+
 def save_checkpoint(path, kind: str, dim: int, blocks: int, seed: int,
                     config: dict, params: Dict[str, np.ndarray]) -> None:
-    # packed before the file is opened, so a value the header cannot hold leaves no file
-    header = HEADER.pack(FORMAT_VERSION, dim, blocks, seed)
-    blob = json.dumps({"kind": kind, "config": config}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    Path(path).write_bytes(checkpoint_bytes(kind, dim, blocks, seed, config, params))
 
 
 def _read_exact(fh, size, what):
@@ -105,10 +104,11 @@ KIND_NER = "ner"
 KIND_RE = "re"
 
 
-def save_model(path, model, kind: str) -> None:
-    """Persist a span or relation model: config, seed, and every array."""
-    save_checkpoint(path, kind, model.encoder.dim, model.encoder.blocks,
-                    model.seed, model.config.to_dict(), model.parameters())
+def model_bytes(model) -> bytes:
+    """A span or relation model's checkpoint: config, seed, and every array."""
+    kind = KIND_NER if isinstance(model, NerModel) else KIND_RE
+    return checkpoint_bytes(kind, model.encoder.dim, model.encoder.blocks,
+                            model.seed, model.config.to_dict(), model.parameters())
 
 
 def _load_model(path, expected_kind: str, factory):
@@ -143,7 +143,7 @@ def _load_model(path, expected_kind: str, factory):
 
 
 def save_ner_model(path, model) -> None:
-    save_model(path, model, KIND_NER)
+    Path(path).write_bytes(model_bytes(model))
 
 
 def load_ner_model(path):
@@ -151,7 +151,7 @@ def load_ner_model(path):
 
 
 def save_re_model(path, model) -> None:
-    save_model(path, model, KIND_RE)
+    Path(path).write_bytes(model_bytes(model))
 
 
 def load_re_model(path):

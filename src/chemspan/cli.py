@@ -19,9 +19,10 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from stat import S_IMODE, S_ISREG
+from typing import Dict, Iterable, List, Optional, Set
 
 from .alignment import (
     DocView,
@@ -32,12 +33,7 @@ from .alignment import (
     render_lost_items,
 )
 from .analysis import CATEGORY_ITEMS, analyze, render_category_items, render_report
-from .checkpoint import (
-    load_ner_model,
-    load_re_model,
-    save_ner_model,
-    save_re_model,
-)
+from .checkpoint import load_ner_model, load_re_model, model_bytes
 from .config import load_config
 from .corpus import (
     CORPUS_FILES,
@@ -74,59 +70,82 @@ def _lines(records: Iterable[str]) -> str:
     return "".join(record + "\n" for record in records)
 
 
-Named = Tuple[str, Union[str, Path]]  # (option, path) of a file a command reads
+# argument -> option of each file a command can read; a corpus directory adds its CORPUS_FILES
+_READS = {"infile": "--in", "config": "--config", "ckpt": "--ckpt", "ner_ckpt": "--ner-ckpt",
+          "re_ckpt": "--re-ckpt", "pred": "--pred", "pred_ents": "--pred-ents",
+          "pred_rels": "--pred-rels", "loss_report": "--loss-report",
+          "corpus": "--corpus", "gold": "--gold"}
 
 
-def _corpus_inputs(option: str, corpus_dir) -> List[Named]:
-    """The files ``load_corpus_dir(corpus_dir)`` can read, as command inputs."""
-    return [(option, Path(corpus_dir) / name) for name in CORPUS_FILES]
-
-
-def _file_id(path) -> Optional[Tuple[int, int]]:
-    """(device, inode) of an existing file, or None."""
+def _stat(path) -> Optional[os.stat_result]:
     try:
-        st = os.stat(path)
+        return os.stat(path)
     except OSError:
         return None
-    return st.st_dev, st.st_ino
 
 
-def _check_outputs(outputs: Sequence[Tuple], inputs: Sequence[Named]) -> None:
-    """Refuse an output that resolves to another output or is an input file, naming both.
+@contextmanager
+def _writer(args, *outputs):
+    """Reserve each (option, path) output before the command's work; replace them after it.
 
-    ``outputs`` hold (option, path, ...). An output and an input are one
-    file when they share device and inode, so hard links and symbolic links
-    count; an input that does not exist is not read and cannot be
-    overwritten. A ``stat`` costs a few microseconds where ``realpath``
-    costs tens, and a command has up to a dozen inputs.
+    Yields a list the work fills with one payload (str or bytes) per output;
+    an output whose path is None was not asked for, and its payload is dropped.
+    Reserving refuses, naming both, an output that resolves to another one or
+    is a file ``args`` names as an input (same device and inode, so links
+    count), and an output that is not a regular file: an existing directory,
+    FIFO or device, or a path ending in a separator. It then creates an empty
+    temporary beside the file each path resolves to, with the mode ``open``
+    would give a new file or the mode of the file it replaces. After the work
+    every payload goes to its temporary, and each temporary is renamed onto
+    its target. On any error, even ``KeyboardInterrupt``, the temporaries are
+    removed, so an error before the renames leaves every target as it was.
+    Nothing is synced to disk: a failed command is covered, a crash is not.
     """
-    read = {_file_id(path): f"input {option} {path}" for option, path in inputs}
-    read.pop(None, None)
-    named = {}  # resolved path -> the option and path that named it first
-    for option, path, *_ in outputs:
+    read = {}  # (device, inode) -> the input option and path
+    for attr, option in _READS.items():
+        given = getattr(args, attr, None)
+        corpus = given and attr in ("corpus", "gold")
+        for path in [Path(given) / name for name in CORPUS_FILES] if corpus else [given]:
+            st = given and _stat(path)
+            if st:
+                read[st.st_dev, st.st_ino] = f"input {option} {path}"
+    named, targets = {}, []
+    for option, path in outputs:
+        if path is None:
+            continue
         real = os.path.realpath(path)
-        first = named.get(real) or read.get(_file_id(path))
+        st = _stat(real)
+        first = named.get(real) or (st and read.get((st.st_dev, st.st_ino)))
         if first:
             raise ChemspanError(f"{first} and {option} {path} name the same file")
+        if os.fspath(path).endswith(os.sep) or st and not S_ISREG(st.st_mode):
+            raise ChemspanError(f"{option} {os.fspath(path)!r} is not a regular file")
         named[real] = f"{option} {path}"
-
-
-def _write_files(outputs: Sequence[Tuple[str, Union[str, Path], str]],
-                 inputs: Sequence[Named]) -> None:
-    """Write each (option, path, text), opening every path before writing to any.
-
-    An output that is one of the (option, path) ``inputs`` the command
-    read, or resolves to another output, is refused by `_check_outputs`
-    before any file is opened. A path that cannot be opened fails the
-    command before any content is written, so a failed run leaves no output
-    that looks complete.
-    """
-    _check_outputs(outputs, inputs)
-    with ExitStack() as stack:
-        files = [(stack.enter_context(open(path, "w", encoding="utf-8")), text)
-                 for _option, path, text in outputs]
-        for fh, text in files:
-            fh.write(text)
+        targets.append((path, real, f"{real}.{os.getpid()}.tmp", st))
+    made = []
+    try:
+        for path, _real, tmp, st in targets:
+            try:
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except OSError as exc:  # named as the user gave it, not as the temporary
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+            made.append(tmp)
+            if st:
+                os.chmod(tmp, S_IMODE(st.st_mode))
+        payloads = []
+        yield payloads
+        payloads = [data for (_option, path), data in zip(outputs, payloads, strict=True)
+                    if path is not None]
+        for (_path, _real, tmp, _st), data in zip(targets, payloads):
+            with open(tmp, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for _path, real, tmp, _st in targets:
+            os.replace(tmp, real)
+    except BaseException:
+        for tmp in made:
+            with suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def _json_text(record) -> str:
@@ -218,110 +237,90 @@ def _parse_relation_keys(path, doc_ids) -> Set[RelationKey]:
 
 
 def cmd_tokenize(args) -> int:
-    docs = load_corpus(args.infile)
-    lines = []
-    for doc in docs:
-        view = DocView.build(doc)
-        for sent, tokens in zip(view.sentences, view.tokens):
-            for t in tokens:
-                lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
-                             f"{t.surface}\t{t.char_start}\t{t.char_end}")
-    _write_files([("--out", args.out, _lines(lines))], [("--in", args.infile)])
+    with _writer(args, ("--out", args.out)) as payloads:
+        lines = []
+        for doc in load_corpus(args.infile):
+            view = DocView.build(doc)
+            for sent, tokens in zip(view.sentences, view.tokens):
+                for t in tokens:
+                    lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
+                                 f"{t.surface}\t{t.char_start}\t{t.char_end}")
+        payloads.append(_lines(lines))
     print(f"wrote {len(lines)} token records to {args.out}")
     return 0
 
 
 def cmd_align_stats(args) -> int:
-    docs = load_corpus_dir(args.corpus)
-    report = compute_loss_report(docs)
-    text = render_loss_report(report)
     items_path = args.items or f"{args.report}.items.tsv"
-    _write_files([("--report", args.report, text),
-                  ("--items", items_path, render_lost_items(report))],
-                 _corpus_inputs("--corpus", args.corpus))
+    with _writer(args, ("--report", args.report), ("--items", items_path)) as payloads:
+        report = compute_loss_report(load_corpus_dir(args.corpus))
+        text = render_loss_report(report)
+        payloads += [text, render_lost_items(report)]
     print(text, end="")
     print(f"lost-item records written to {items_path}")
     return 0
 
 
-def _train_inputs(args) -> List[Named]:
-    """A training command's inputs: its corpus files and ``--config`` when given."""
-    config = [("--config", args.config)] if args.config else []
-    return _corpus_inputs("--corpus", args.corpus) + config
-
-
-def cmd_train_ner(args) -> int:
-    _check_outputs([("--out", args.out)], _train_inputs(args))
-    cfg = load_config(args.config)
-    docs = load_corpus_dir(args.corpus)
-    model = NerModel(cfg, seed=args.seed)
-    examples = model.prepare_documents(docs)
-    curve = train_ner(model, examples, seed=args.seed)
-    save_ner_model(args.out, model)
+def _train(args, model_class, prepare, train, noun: str) -> int:
+    with _writer(args, ("--out", args.out)) as payloads:
+        cfg = load_config(args.config)
+        docs = load_corpus_dir(args.corpus)
+        model = model_class(cfg, seed=args.seed)
+        items = prepare(model, docs)
+        curve = train(model, items, seed=args.seed)
+        payloads.append(model_bytes(model))
     if curve:
-        print(f"trained {len(curve)} epochs on {len(examples)} sentences; "
+        print(f"trained {len(curve)} epochs on {len(items)} {noun}; "
               f"loss {curve[0]:.4f} -> {curve[-1]:.4f}")
     print(f"checkpoint written to {args.out}")
     return 0
 
 
+def cmd_train_ner(args) -> int:
+    return _train(args, NerModel, NerModel.prepare_documents, train_ner, "sentences")
+
+
+def cmd_train_re(args) -> int:
+    return _train(args, RelationModel, gold_training_instances, train_re, "pairs")
+
+
 def cmd_predict_ner(args) -> int:
-    model = load_ner_model(args.ckpt)
-    docs = load_corpus_dir(args.corpus)
-    mentions = []
-    for doc in docs:
-        mentions.extend(model.predict_view(DocView.build(doc)))
-    _write_files([("--out", args.out, _lines(_entity_records(mentions)))],
-                 [("--ckpt", args.ckpt)] + _corpus_inputs("--corpus", args.corpus))
+    with _writer(args, ("--out", args.out)) as payloads:
+        model = load_ner_model(args.ckpt)
+        mentions = []
+        for doc in load_corpus_dir(args.corpus):
+            mentions.extend(model.predict_view(DocView.build(doc)))
+        payloads.append(_lines(_entity_records(mentions)))
     print(f"wrote {len(mentions)} entity records to {args.out}")
     return 0
 
 
-def cmd_train_re(args) -> int:
-    _check_outputs([("--out", args.out)], _train_inputs(args))
-    cfg = load_config(args.config)
-    docs = load_corpus_dir(args.corpus)
-    model = RelationModel(cfg, seed=args.seed)
-    instances = gold_training_instances(model, docs)
-    curve = train_re(model, instances, seed=args.seed)
-    save_re_model(args.out, model)
-    if curve:
-        print(f"trained {len(curve)} epochs on {len(instances)} pairs; "
-              f"loss {curve[0]:.4f} -> {curve[-1]:.4f}")
-    print(f"checkpoint written to {args.out}")
-    return 0
-
-
 def cmd_predict_re(args) -> int:
-    model = load_re_model(args.ckpt)
-    docs = load_corpus_dir(args.corpus)
-    records = []
-    for doc in docs:
-        view = DocView.build(doc)
-        for k, id_mentions in recoverable_gold_mentions(view).items():
-            mentions = [m for _, m in id_mentions]
-            records.extend(_relation_records(predict_relations(model, view, k, mentions), view))
-    _write_files([("--out", args.out, _lines(records))],
-                 [("--ckpt", args.ckpt)] + _corpus_inputs("--corpus", args.corpus))
+    with _writer(args, ("--out", args.out)) as payloads:
+        model = load_re_model(args.ckpt)
+        records = []
+        for doc in load_corpus_dir(args.corpus):
+            view = DocView.build(doc)
+            for k, id_mentions in recoverable_gold_mentions(view).items():
+                mentions = [m for _, m in id_mentions]
+                records.extend(_relation_records(
+                    predict_relations(model, view, k, mentions), view))
+        payloads.append(_lines(records))
     print(f"wrote {len(records)} relation records to {args.out}")
     return 0
 
 
 def cmd_predict_e2e(args) -> int:
-    ner_model = load_ner_model(args.ner_ckpt)
-    re_model = load_re_model(args.re_ckpt)
-    docs = load_corpus_dir(args.corpus)
-    entity_records, relation_records = [], []
-    for doc in docs:
-        view = DocView.build(doc)
-        mentions, relations = predict_view(ner_model, re_model, view)
-        entity_records.extend(_entity_records(mentions))
-        relation_records.extend(_relation_records(relations, view))
-    outputs = [("--out-rels", args.out_rels, _lines(relation_records))]
-    if args.out_ents:
-        outputs.append(("--out-ents", args.out_ents, _lines(entity_records)))
-    _write_files(outputs, [("--ner-ckpt", args.ner_ckpt), ("--re-ckpt", args.re_ckpt)]
-                 + _corpus_inputs("--corpus", args.corpus))
+    with _writer(args, ("--out-rels", args.out_rels), ("--out-ents", args.out_ents)) as payloads:
+        ner_model = load_ner_model(args.ner_ckpt)
+        re_model = load_re_model(args.re_ckpt)
+        entity_records, relation_records = [], []
+        for doc in load_corpus_dir(args.corpus):
+            view = DocView.build(doc)
+            mentions, relations = predict_view(ner_model, re_model, view)
+            entity_records.extend(_entity_records(mentions))
+            relation_records.extend(_relation_records(relations, view))
+        payloads += [_lines(relation_records), _lines(entity_records)]
     print(f"wrote {len(relation_records)} relation records to {args.out_rels}")
     if args.out_ents:
         print(f"wrote {len(entity_records)} entity records to {args.out_ents}")
@@ -329,34 +328,33 @@ def cmd_predict_e2e(args) -> int:
 
 
 def cmd_score(args) -> int:
-    docs = load_corpus_dir(args.gold)
-    # entity records and the loss report need the tokenization; relation records do not
-    views = _views_by_doc(docs) if args.task == "ner" or args.loss_report else {}
-    lost_entities, lost_relations = set(), set()
-    if args.loss_report:
-        stated = parse_loss_report(Path(args.loss_report).read_bytes(),
-                                   args.loss_report).counts()
-        loss = loss_report_of_views(views.values())
-        counts = loss.counts()
-        stale = [f"{key} {stated.get(key, 0)} (the corpus has {counts.get(key, 0)})"
-                 for key in sorted(stated.keys() | counts.keys())
-                 if stated.get(key, 0) != counts.get(key, 0)]
-        if stale:
-            raise ChemspanError(f"{args.loss_report} is stale: it states {', '.join(stale)}")
-        lost_entities, lost_relations = lost_gold_keys(loss, docs)
-    if args.task == "ner":
-        gold = gold_entity_set(docs) - lost_entities
-        predicted = _parse_entity_keys(args.pred, views)
-        report = score_ner(gold, predicted, lost_by_type=Counter(k[-1] for k in lost_entities))
-    else:
-        gold = gold_relation_set(docs) - lost_relations
-        predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
-        report = score_re(gold, predicted, lost_by_group=Counter(k[-1] for k in lost_relations))
-    if args.out:
-        inputs = [("--pred", args.pred)] + _corpus_inputs("--gold", args.gold)
+    with _writer(args, ("--out", args.out)) as payloads:
+        docs = load_corpus_dir(args.gold)
+        # entity records and the loss report need the tokenization; relation records do not
+        views = _views_by_doc(docs) if args.task == "ner" or args.loss_report else {}
+        lost_entities, lost_relations = set(), set()
         if args.loss_report:
-            inputs.append(("--loss-report", args.loss_report))
-        _write_files([("--out", args.out, _json_text(report.to_record()))], inputs)
+            stated = parse_loss_report(Path(args.loss_report).read_bytes(),
+                                       args.loss_report).counts()
+            loss = loss_report_of_views(views.values())
+            counts = loss.counts()
+            stale = [f"{key} {stated.get(key, 0)} (the corpus has {counts.get(key, 0)})"
+                     for key in sorted(stated.keys() | counts.keys())
+                     if stated.get(key, 0) != counts.get(key, 0)]
+            if stale:
+                raise ChemspanError(f"{args.loss_report} is stale: it states {', '.join(stale)}")
+            lost_entities, lost_relations = lost_gold_keys(loss, docs)
+        if args.task == "ner":
+            gold = gold_entity_set(docs) - lost_entities
+            predicted = _parse_entity_keys(args.pred, views)
+            report = score_ner(gold, predicted,
+                               lost_by_type=Counter(k[-1] for k in lost_entities))
+        else:
+            gold = gold_relation_set(docs) - lost_relations
+            predicted = _parse_relation_keys(args.pred, {doc.doc_id for doc in docs})
+            report = score_re(gold, predicted,
+                              lost_by_group=Counter(k[-1] for k in lost_relations))
+        payloads.append(_json_text(report.to_record()))
     print(render_score_report(report), end="")
     if args.out:
         print(f"machine-readable report written to {args.out}")
@@ -364,20 +362,19 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    docs = load_corpus_dir(args.gold)
-    views = _views_by_doc(docs)
-    pred_entities = _parse_entity_keys(args.pred_ents, views)
-    pred_relations = _parse_relation_keys(args.pred_rels, views)
-    breakdown = analyze(docs, pred_entities, pred_relations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    text = render_report(breakdown)
-    _write_files([("--out", out / "report.txt", text),
-                  ("--out", out / "report.json", _json_text(breakdown.to_record()))]
-                 + [("--out", out / f"{category}.tsv", render_category_items(breakdown, category))
-                    for category, _attr in CATEGORY_ITEMS],
-                 [("--pred-ents", args.pred_ents), ("--pred-rels", args.pred_rels)]
-                 + _corpus_inputs("--gold", args.gold))
+    categories = [category for category, _attr in CATEGORY_ITEMS]
+    names = ["report.txt", "report.json"] + [f"{category}.tsv" for category in categories]
+    with _writer(args, *[("--out", out / name) for name in names]) as payloads:
+        docs = load_corpus_dir(args.gold)
+        views = _views_by_doc(docs)
+        pred_entities = _parse_entity_keys(args.pred_ents, views)
+        pred_relations = _parse_relation_keys(args.pred_rels, views)
+        breakdown = analyze(docs, pred_entities, pred_relations)
+        text = render_report(breakdown)
+        payloads += ([text, _json_text(breakdown.to_record())]
+                     + [render_category_items(breakdown, category) for category in categories])
     print(text, end="")
     print(f"report and per-category dumps written to {out}")
     return 0

@@ -109,10 +109,10 @@ class PipelineConfig:
     def __post_init__(self):
         e, n, r = self.encoder, self.ner, self.relation
         widest = max(map(len, _VARIANT_SEGMENTS.values()))
-        # an upper bound on the float64 parameters either model allocates
+        # an upper bound on the float64 parameters either model allocates, a zero-wide row as one
         bound = (e.dim * (e.buckets + e.max_len + 8)                       # embeddings
                  + e.blocks * (e.dim + 1) * (4 * e.dim + 2 * e.ffn_dim + 8)  # blocks
-                 + (n.max_span_width + 3) * n.width_dim + 6 * e.dim + 3     # span head
+                 + (n.max_span_width + 3) * max(n.width_dim, 1) + 6 * e.dim + 3  # span head
                  + (widest * e.dim + 7) * r.head_hidden + 6)                # relation head
         if bound > MAX_PARAMETERS:
             raise ConfigError(

@@ -333,9 +333,9 @@ class EncoderModel:
         ``settings`` is the config section that gives ``epochs``, ``batch_size``
         and ``lr``. Each batch's mean loss counts ``weight(batch)`` times in its
         epoch's mean. Zero epochs is a no-op that leaves the model untouched.
-        Any non-finite loss aborts at once, without numpy warnings, with the
+        Any non-finite loss aborts at once, without numpy warnings, naming the
         epoch, the step, the last finite epoch loss and the batch's gradient
-        norm in the error.
+        norm; a parameter left non-finite at the end raises `NonFiniteError`.
         """
         if not labeled:
             log.warning("%s: no labeled training items; nothing to do", type(self).__name__)
@@ -364,6 +364,9 @@ class EncoderModel:
                     total += n
                     opt.step(grads, self.encoder.touched_rows)
                 curve.append(epoch_loss / max(total, 1))
+        for name, value in self.parameters().items():
+            if not np.isfinite(value).all():
+                raise NonFiniteError(f"training left parameter {name} holding NaN or infinity")
         return curve
 
 
