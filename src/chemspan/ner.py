@@ -18,7 +18,7 @@ from .alignment import DocView, recoverable_entities
 from .config import PipelineConfig
 from .corpus import ENTITY_TYPES, Document
 from .encoder import EncoderModel, _softmax_rows
-from .errors import OverLengthError
+from .errors import NonFiniteError, OverLengthError
 
 log = logging.getLogger(__name__)
 
@@ -89,9 +89,14 @@ def split_context(left_supply: int, right_supply: int, budget: int) -> Tuple[int
     return left, right
 
 
+class Window(tuple):
+    """The symbols of one NER encoder input; windows hash and compare by identity."""
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
 @dataclass
 class WindowedInput:
-    symbols: List[str]
+    symbols: Sequence[str]
     sent_offset: int  # index of the sentence's first token inside symbols
 
 
@@ -126,6 +131,10 @@ class NerExample:
     candidates: List[SpanCandidate]
     labels: Optional[np.ndarray]  # int per candidate, or None at predict time
     token_chars: List[Tuple[int, int]]  # per sentence token, absolute offsets
+
+    def __post_init__(self):
+        if not isinstance(self.windowed.symbols, Window):  # a caller's list: a window of its own
+            self.windowed = WindowedInput(Window(self.windowed.symbols), self.windowed.sent_offset)
 
     @cached_property
     def span_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,14 +188,14 @@ class NerModel(EncoderModel):
         """One document's examples, and how many gold entities were too wide to label.
 
         Sentences whose windows cover the same extent of ``view.flat_surfaces``
-        share one symbols list, which the encoding passes key on by identity.
+        share one `Window`, which the encoding passes key on.
         A sentence longer than ``max_len`` raises `OverLengthError` naming the
         document and the sentence.
         """
         nc = self.config.ner
         ec = self.config.encoder
         flat = view.flat_surfaces
-        windows: Dict[Tuple[int, int], List[str]] = {}
+        windows: Dict[Tuple[int, int], Window] = {}
         examples = []
         too_wide = 0
         recoverable = recoverable_entities(view) if with_labels else {}
@@ -202,9 +211,8 @@ class NerModel(EncoderModel):
             left, right = split_context(lo, len(flat) - lo - n,
                                         min(nc.context_window, ec.max_len - n))
             extent = (lo - left, lo + n + right)
-            symbols = windows.get(extent)
-            if symbols is None:
-                symbols = windows[extent] = flat[extent[0]:extent[1]]
+            if extent not in windows:
+                windows[extent] = Window(flat[extent[0]:extent[1]])
             candidates = enumerate_spans(n, nc.max_span_width, sent.sent_id)
             labels = None
             if with_labels:
@@ -220,7 +228,7 @@ class NerModel(EncoderModel):
                     if etype is not None:
                         labels[i] = NER_LABELS.index(etype)
             examples.append(NerExample(
-                view.doc.doc_id, sent.sent_id, WindowedInput(symbols, left), candidates,
+                view.doc.doc_id, sent.sent_id, WindowedInput(windows[extent], left), candidates,
                 labels, [(t.char_start, t.char_end) for t in view.tokens[k]]))
         return examples, too_wide
 
@@ -246,6 +254,9 @@ class NerModel(EncoderModel):
         h = self.encoder.encode(example.windowed.symbols) if encoding is None else encoding
         reps = self._span_reps(example, h)
         probs = _softmax_rows(self._logits(reps))
+        if not np.isfinite(probs).all():
+            raise NonFiniteError(f"document {example.doc_id!r} sentence {example.sent_id}: "
+                                 "span probabilities hold NaN or infinity")
         picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
         return [(c, NER_LABELS[picks[i]], float(probs[i, picks[i]]))
                 for i, c in enumerate(example.candidates)]
@@ -267,57 +278,53 @@ class NerModel(EncoderModel):
 
     def predict_view(self, view: DocView) -> List[SpanMention]:
         """One document's predicted mentions in sentence order, each window encoded once."""
-        encodings: Dict[int, np.ndarray] = {}  # id of a window's symbols -> its encoding
+        encodings: Dict[Window, np.ndarray] = {}
         mentions = []
         for example in self.prepare_view(view, with_labels=False)[0]:
-            symbols = example.windowed.symbols
-            h = encodings.get(id(symbols))
-            if h is None:
-                h = encodings[id(symbols)] = self.encoder.encode(symbols)
-            mentions.extend(self.predict_mentions(example, h))
+            window = example.windowed.symbols
+            if window not in encodings:
+                encodings[window] = self.encoder.encode(window)
+            mentions.extend(self.predict_mentions(example, encodings[window]))
         return mentions
 
     def loss_and_grads(self, batch: Sequence[NerExample]):
         """Mean cross-entropy over every candidate span in the batch.
 
-        Each distinct window runs one forward and one backward pass: the
-        examples sharing it add their span gradients into one output
-        gradient, which is backpropagated at the window's last example, where
-        its cache is dropped. The encoder's gradients equal those of one
-        backward per example up to the order of float summation.
+        The batch is walked window by window, in order of first appearance:
+        one forward pass, the window's examples in batch order adding their
+        span gradients into one output gradient, and one backward pass. The
+        encoder's gradients equal those of one backward per example up to the
+        order of float summation.
         """
         grads = self.zero_grads()
         total_spans = sum(len(ex.candidates) for ex in batch)
         if total_spans == 0:
             return 0.0, grads
-        last_use = {id(ex.windowed.symbols): i for i, ex in enumerate(batch) if ex.candidates}
-        windows: Dict[int, tuple] = {}  # id of a window's symbols -> (h, cache, dh)
+        windows: Dict[Window, List[NerExample]] = {}
+        for ex in batch:
+            if ex.candidates:
+                windows.setdefault(ex.windowed.symbols, []).append(ex)
         loss = 0.0
-        for i, ex in enumerate(batch):
-            if not ex.candidates:
-                continue
-            key = id(ex.windowed.symbols)
-            if key not in windows:
-                h, cache = self.encoder.forward(ex.windowed.symbols)
-                windows[key] = h, cache, np.zeros_like(h)
-            h, cache, dh = windows.pop(key) if last_use[key] == i else windows[key]
-            reps = self._span_reps(ex, h)
-            probs = _softmax_rows(self._logits(reps))
-            rows = np.arange(len(ex.candidates))
-            loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
-            dlogits = probs
-            dlogits[rows, ex.labels] -= 1.0
-            dlogits /= total_spans
-            grads["ner.w"] += reps.T @ dlogits
-            grads["ner.b"] += dlogits.sum(axis=0)
-            dreps = dlogits @ self.head["ner.w"].T
-            d = self.encoder.dim
-            starts, ends, widths = ex.span_index
-            np.add.at(dh, starts, dreps[:, :d])
-            np.add.at(dh, ends, dreps[:, d:2 * d])
-            np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
-            if last_use[key] == i:
-                self.encoder.backward(cache, dh, grads)
+        for window, examples in windows.items():
+            h, cache = self.encoder.forward(window)
+            dh = np.zeros_like(h)
+            for ex in examples:
+                reps = self._span_reps(ex, h)
+                probs = _softmax_rows(self._logits(reps))
+                rows = np.arange(len(ex.candidates))
+                loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
+                dlogits = probs
+                dlogits[rows, ex.labels] -= 1.0
+                dlogits /= total_spans
+                grads["ner.w"] += reps.T @ dlogits
+                grads["ner.b"] += dlogits.sum(axis=0)
+                dreps = dlogits @ self.head["ner.w"].T
+                d = self.encoder.dim
+                starts, ends, widths = ex.span_index
+                np.add.at(dh, starts, dreps[:, :d])
+                np.add.at(dh, ends, dreps[:, d:2 * d])
+                np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
+            self.encoder.backward(cache, dh, grads)
         return loss / total_spans, grads
 
 
@@ -329,4 +336,4 @@ def train_ner(model: NerModel, examples: Sequence[NerExample], seed: int = 0) ->
     """
     labeled = [ex for ex in examples if ex.labels is not None]
     return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
-                     model.config.ner, seed, key=lambda ex: id(ex.windowed.symbols))
+                     model.config.ner, seed, key=lambda ex: ex.windowed.symbols)

@@ -25,7 +25,7 @@ from .encoder import (
     EncoderModel,
     _softmax_rows,
 )
-from .errors import OverLengthError
+from .errors import NonFiniteError, OverLengthError
 from .ner import NerModel, SpanMention, build_windowed_input
 
 RELATION_LABELS = ("null",) + EVAL_GROUPS
@@ -213,6 +213,9 @@ class RelationModel(EncoderModel):
         h = self.encoder.encode(instance.symbols, rows)
         rep = self.build_representation(h, instance, rows)
         _, _, probs = self._head_forward(rep)
+        if not np.isfinite(probs).all():
+            raise NonFiniteError(f"document {instance.doc_id!r} sentence {instance.sent_id}: "
+                                 "relation probabilities hold NaN or infinity")
         pick = int(probs.argmax())
         return RELATION_LABELS[pick], float(probs[pick])
 

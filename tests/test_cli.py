@@ -759,3 +759,46 @@ def test_a_diverging_run_prints_only_its_error(tmp_path, micro_dir, command, sec
     err = done.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
     assert not out.exists()
+
+
+# a checkpoint whose weights are finite but overflow in prediction is refused
+# with one error line and no output; it runs in its own process for the same reason
+
+
+@pytest.fixture
+def overflowing_checkpoints(tmp_path, micro_dir):
+    """An RE checkpoint trained at lr 1e308, an untrained NER one, and one scaled by 1e307."""
+    paths = {name: tmp_path / f"{name}.ckpt" for name in ("re", "ner", "huge-ner")}
+    for command, name, section in [("train-re", "re", {"relation": {"epochs": 1, "lr": 1e308}}),
+                                   ("train-ner", "ner", {"ner": {"epochs": 0}})]:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(section), encoding="utf-8")
+        assert main([command, "--corpus", str(micro_dir), "--config", str(config),
+                     "--out", str(paths[name])]) == 0
+    model = load_ner_model(paths["ner"])
+    model.encoder.params["tok_emb"] *= 1e307
+    assert np.isfinite(model.encoder.params["tok_emb"]).all()
+    save_ner_model(paths["huge-ner"], model)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("command", ["predict-ner", "predict-re", "predict-e2e"])
+def test_a_checkpoint_that_overflows_in_prediction_is_one_error(
+        tmp_path, micro_dir, overflowing_checkpoints, command):
+    ckpt = overflowing_checkpoints
+    out = tmp_path / "out.tsv"
+    options = {"predict-ner": ["--ckpt", ckpt["huge-ner"], "--out", str(out)],
+               "predict-re": ["--ckpt", ckpt["re"], "--out", str(out)],
+               "predict-e2e": ["--ner-ckpt", ckpt["ner"], "--re-ckpt", ckpt["re"],
+                               "--out-rels", str(out), "--out-ents", str(tmp_path / "ents.tsv")]}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "chemspan.cli", command, "--corpus",
+                           str(micro_dir), *options[command]],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: document 'MICRO"), err
+    assert err[0].endswith("probabilities hold NaN or infinity"), err
+    assert not out.exists() and not (tmp_path / "ents.tsv").exists()

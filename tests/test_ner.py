@@ -11,6 +11,7 @@ from chemspan.ner import (
     NerExample,
     NerModel,
     SpanCandidate,
+    Window,
     WindowedInput,
     build_windowed_input,
     enumerate_spans,
@@ -280,7 +281,7 @@ def test_gradients_of_a_batch_sharing_a_window_match_finite_differences():
         encoder=EncoderConfig(dim=8, blocks=1, ffn_dim=16, buckets=13, max_len=32),
         ner=NerConfig(max_span_width=3, width_dim=4, context_window=4),
         relation=RelationConfig(variant="F", head_hidden=8, context_window=4))
-    shared = ["Na", "+", "binds", "NKCC", "1", "and", "K", "+"]
+    shared = Window(["Na", "+", "binds", "NKCC", "1", "and", "K", "+"])
     alone = ["Cl", "-", "blocks", "it"]
 
     def example(sent_id, symbols, offset, n_tokens):

@@ -1,17 +1,20 @@
 """NER windows are shared objects: each distinct window is encoded once."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chemspan.encoder
+import chemspan.ner
 from chemspan.alignment import DocView
 from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationConfig
 from chemspan.corpus import Document
 from chemspan.encoder import SPECIAL_SYMBOLS, TinyEncoder
 from chemspan.microcorpus import load_micro_corpus
-from chemspan.ner import NerModel, SpanCandidate, train_ner
+from chemspan.ner import NerExample, NerModel, SpanCandidate, Window, WindowedInput, train_ner
 from chemspan.relation import (
     RelationModel,
     generate_pairs,
@@ -68,7 +71,7 @@ def test_windows_are_shared_exactly_when_their_extents_agree(context_window):
         lo = view.sent_flat_start[k]
         symbols, offset = sentence_window(view.flat_surfaces, lo, lo + len(view.tokens[k]),
                                           context_window, cfg.encoder.max_len)
-        assert (ex.windowed.symbols, ex.windowed.sent_offset) == (symbols, offset)
+        assert (list(ex.windowed.symbols), ex.windowed.sent_offset) == (symbols, offset)
         by_extent.setdefault((lo - offset, lo - offset + len(symbols)), set()).add(
             id(ex.windowed.symbols))
     assert all(len(ids) == 1 for ids in by_extent.values())
@@ -142,6 +145,56 @@ def test_training_batch_runs_one_forward_per_window_and_one_backward_per_window(
     last_use = {id(ex.windowed.symbols): i for i, ex in enumerate(examples)}
     assert len(counted_forward) == len(backwards) == 10
     assert backwards == [len(examples[i].windowed.symbols) for i in sorted(last_use.values())]
+
+
+def test_an_interleaved_batch_runs_one_forward_and_one_backward_per_window(
+        counted_forward, monkeypatch):
+    # [A, B, A]: no batch that fit cuts looks like this, since a window's examples
+    # are contiguous there; it is the one case where the order of float sums moves
+    backwards = []
+    original = TinyEncoder.backward
+
+    def backward(self, cache, d_out, grads):
+        backwards.append(cache["n"])
+        original(self, cache, d_out, grads)
+
+    monkeypatch.setattr(TinyEncoder, "backward", backward)
+    model = NerModel(PipelineConfig(), seed=0)
+    examples = model.prepare_documents(load_micro_corpus())
+    a1, a2 = examples[:2]
+    b = next(ex for ex in examples if len(ex.windowed.symbols) != len(a1.windowed.symbols))
+    assert a1.windowed.symbols is a2.windowed.symbols
+    batch = [a1, b, a2]
+    counted_forward.clear()
+    loss, grads = model.loss_and_grads(batch)
+    sizes = sorted(len(ex.windowed.symbols) for ex in (a1, b))
+    assert sorted(counted_forward) == sorted(backwards) == sizes
+    want_loss, want_grads = ner_loss_and_grads_per_example(model, batch)
+    assert loss == pytest.approx(want_loss, rel=NER_CURVE_TOLERANCE, abs=0)
+    for key in grads:
+        np.testing.assert_allclose(grads[key], want_grads[key], rtol=0,
+                                   atol=NER_GRAD_TOLERANCE, err_msg=key)
+
+
+def test_a_window_equals_only_itself():
+    first, second = Window(["Na", "+"]), Window(["Na", "+"])
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert first != ["Na", "+"]
+    assert len({first: 1, second: 2}) == 2
+    # symbols a caller builds become a window of their own
+    example = NerExample("d", 0, WindowedInput(["Na", "+"], 0), [], None, [])
+    assert type(example.windowed.symbols) is Window
+    assert list(example.windowed.symbols) == ["Na", "+"]
+    assert example.windowed.symbols != first
+
+
+def test_ner_never_keys_on_id():
+    source = Path(chemspan.ner.__file__).read_text(encoding="utf-8")
+    calls = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("docs, config", [
