@@ -176,7 +176,7 @@ def test_an_interleaved_batch_runs_one_forward_and_one_backward_per_window(
                                    atol=NER_GRAD_TOLERANCE, err_msg=key)
 
 
-def test_a_window_equals_only_itself():
+def test_windows_hash_and_compare_by_identity():
     first, second = Window(["Na", "+"]), Window(["Na", "+"])
     assert first == first and not first != first
     assert first != second and not first == second
