@@ -8,6 +8,7 @@ counted here once, up front, so downstream recall denominators stay honest.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import Document, GoldEntity, Sentence, _ints, read_tsv, segment
@@ -72,12 +73,8 @@ class DocView:
     def build(cls, doc: Document) -> "DocView":
         sentences = segment(doc)
         tokens = [tokenize_sentence(doc, s) for s in sentences]
-        flat: List[str] = []
-        starts: List[int] = []
-        for toks in tokens:
-            starts.append(len(flat))
-            flat.extend(t.surface for t in toks)
-        return cls(doc, sentences, tokens, flat, starts)
+        flat = [t.surface for toks in tokens for t in toks]
+        return cls(doc, sentences, tokens, flat, list(accumulate(map(len, tokens[:-1]), initial=0)))
 
     def sentence_of_entity(self, entity: GoldEntity) -> Optional[int]:
         for k, s in enumerate(self.sentences):

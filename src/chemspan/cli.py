@@ -24,8 +24,6 @@ from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import Dict, Iterable, List, Optional, Set
 
-import numpy as np
-
 from .alignment import (
     DocView,
     compute_loss_report,
@@ -287,7 +285,7 @@ def cmd_train_re(args) -> int:
 
 
 def cmd_predict_ner(args) -> int:
-    with _writer(args, ("--out", args.out)) as payloads, np.errstate(all="ignore"):
+    with _writer(args, ("--out", args.out)) as payloads:
         model = load_ner_model(args.ckpt)
         mentions = []
         for doc in load_corpus_dir(args.corpus):
@@ -298,7 +296,7 @@ def cmd_predict_ner(args) -> int:
 
 
 def cmd_predict_re(args) -> int:
-    with _writer(args, ("--out", args.out)) as payloads, np.errstate(all="ignore"):
+    with _writer(args, ("--out", args.out)) as payloads:
         model = load_re_model(args.ckpt)
         records = []
         for doc in load_corpus_dir(args.corpus):
@@ -314,7 +312,7 @@ def cmd_predict_re(args) -> int:
 
 def cmd_predict_e2e(args) -> int:
     with _writer(args, ("--out-rels", args.out_rels), ("--out-ents", args.out_ents)
-                 ) as payloads, np.errstate(all="ignore"):
+                 ) as payloads:
         ner_model = load_ner_model(args.ner_ckpt)
         re_model = load_re_model(args.re_ckpt)
         entity_records, relation_records = [], []

@@ -32,12 +32,14 @@ OBJ_OPEN = "[O:GENE]"
 OBJ_CLOSE = "[\\O:GENE]"
 
 SPECIAL_SYMBOLS = (CLS_SYMBOL, SUBJ_OPEN, SUBJ_CLOSE, OBJ_OPEN, OBJ_CLOSE)
-_SPECIAL_INDEX = {s: i for i, s in enumerate(SPECIAL_SYMBOLS)}
 
 _LN_EPS = 1e-5
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 Params = Dict[str, np.ndarray]
+
+# training and prediction raise their own error on NaN or infinity, without numpy's warnings
+QUIET_FLOATS = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def surface_bucket(surface: str, buckets: int) -> int:
@@ -47,19 +49,19 @@ def surface_bucket(surface: str, buckets: int) -> int:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
 
 
 def _ln_forward(z, gamma, beta):
-    mu = z.mean(axis=1, keepdims=True)
-    centered = z - mu
-    var = (centered ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv_std
-    return gamma * xhat + beta, (xhat, inv_std)
+    """Layer norm of each row; ``z`` is overwritten with the normalized rows it caches."""
+    d = z.shape[1]
+    z -= np.add.reduce(z, axis=1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.add.reduce(z ** 2, axis=1, keepdims=True) / d + _LN_EPS)
+    z *= inv_std
+    return gamma * z + beta, (z, inv_std)
 
 
 def _ln_backward(dy, xhat, inv_std, gamma):
@@ -79,12 +81,10 @@ class TinyEncoder:
     """Hashed embeddings + positions + attention blocks, all trainable."""
 
     def __init__(self, dim, blocks, ffn_dim, buckets, max_len, seed):
-        self.dim = dim
-        self.blocks = blocks
-        self.ffn_dim = ffn_dim
-        self.buckets = buckets
-        self.max_len = max_len
-        self._bucket_of: Dict[str, int] = {}  # surface -> surface_bucket, filled by _rows
+        self.dim, self.blocks, self.ffn_dim, self.buckets, self.max_len = (
+            dim, blocks, ffn_dim, buckets, max_len)
+        # symbol -> row: its surface_bucket (filled by _rows), or -1 - i for SPECIAL_SYMBOLS[i]
+        self._bucket_of: Dict[str, int] = {s: -1 - i for i, s in enumerate(SPECIAL_SYMBOLS)}
         self._bucket_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_bucket_of), its buckets)
         self._longest = 0  # longest input forward has seen
         rng = np.random.default_rng(seed)
@@ -112,20 +112,13 @@ class TinyEncoder:
     # -- symbol lookup ------------------------------------------------------
 
     def _rows(self, symbols: Sequence[str]):
-        special = np.zeros(len(symbols), dtype=bool)
-        idx = np.empty(len(symbols), dtype=np.int64)
+        """Whether each symbol has a dedicated row, and its row in its own table."""
         bucket_of = self._bucket_of
-        for t, s in enumerate(symbols):
-            j = _SPECIAL_INDEX.get(s)
-            if j is not None:
-                special[t] = True
-                idx[t] = j
-            else:
-                b = bucket_of.get(s)
-                if b is None:
-                    b = bucket_of[s] = surface_bucket(s, self.buckets)
-                idx[t] = b
-        return special, idx
+        for s in set(symbols).difference(bucket_of):
+            bucket_of[s] = surface_bucket(s, self.buckets)
+        codes = np.fromiter(map(bucket_of.__getitem__, symbols), np.int64, len(symbols))
+        special = codes < 0
+        return special, np.where(special, -1 - codes, codes)
 
     @property
     def touched_rows(self) -> Dict[str, object]:
@@ -137,8 +130,8 @@ class TinyEncoder:
         the whole table, so the whole table is given.
         """
         if self._bucket_rows[0] != len(self._bucket_of):
-            self._bucket_rows = (len(self._bucket_of), np.unique(
-                np.fromiter(self._bucket_of.values(), np.int64, len(self._bucket_of))))
+            self._bucket_rows = (len(self._bucket_of), np.unique(np.fromiter(  # specials sort first
+                self._bucket_of.values(), np.int64, len(self._bucket_of)))[len(SPECIAL_SYMBOLS):])
         buckets = self._bucket_rows[1]
         return {"tok_emb": buckets if 2 * len(buckets) < self.buckets else slice(None),
                 "pos_emb": slice(0, self._longest)}
@@ -166,25 +159,32 @@ class TinyEncoder:
         x = np.empty((n, self.dim))
         x[special] = p["special_emb"][idx[special]]
         x[~special] = p["tok_emb"][idx[~special]]
-        x = x + p["pos_emb"][:n]
+        x += p["pos_emb"][:n]
         cache = {"n": n, "special": special, "idx": idx, "block": [], "rows": rows}
         if rows is not None and not self.blocks:
             x = x[rows]
         scale = 1.0 / math.sqrt(self.dim)
         for b in range(self.blocks):
             xq = x[rows] if rows is not None and b == self.blocks - 1 else x
-            q = xq @ p[f"b{b}.wq"] + p[f"b{b}.bq"]
-            k = x @ p[f"b{b}.wk"] + p[f"b{b}.bk"]
-            v = x @ p[f"b{b}.wv"] + p[f"b{b}.bv"]
+            # biases and residuals are added in place; float addition commutes, so bitwise
+            q = xq @ p[f"b{b}.wq"]
+            q += p[f"b{b}.bq"]
+            k = x @ p[f"b{b}.wk"]
+            k += p[f"b{b}.bk"]
+            v = x @ p[f"b{b}.wv"]
+            v += p[f"b{b}.bv"]
             att = _softmax_rows((q @ k.T) * scale)
             ctx = att @ v
-            out = ctx @ p[f"b{b}.wo"] + p[f"b{b}.bo"]
-            r1 = xq + out
+            r1 = ctx @ p[f"b{b}.wo"]
+            r1 += p[f"b{b}.bo"]
+            r1 += xq
             h, ln1_cache = _ln_forward(r1, p[f"b{b}.ln1_g"], p[f"b{b}.ln1_b"])
-            u = h @ p[f"b{b}.w1"] + p[f"b{b}.b1"]
+            u = h @ p[f"b{b}.w1"]
+            u += p[f"b{b}.b1"]
             z = np.maximum(u, 0.0)
-            f = z @ p[f"b{b}.w2"] + p[f"b{b}.b2"]
-            r2 = h + f
+            r2 = z @ p[f"b{b}.w2"]
+            r2 += p[f"b{b}.b2"]
+            r2 += h
             y, ln2_cache = _ln_forward(r2, p[f"b{b}.ln2_g"], p[f"b{b}.ln2_b"])
             cache["block"].append((x, q, k, v, att, ctx, ln1_cache, h, u, z, ln2_cache))
             x = y
@@ -323,6 +323,7 @@ class EncoderModel:
     def zero_grads(self) -> Params:
         return {k: np.zeros(v.shape) for k, v in self.parameters().items()}
 
+    @QUIET_FLOATS
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
             seed: int, key: Optional[Callable[[object], Hashable]] = None) -> List[float]:
         """Adam over seeded batches of grouped items; returns the per-epoch mean loss.
@@ -347,23 +348,22 @@ class EncoderModel:
         opt = Adam(self.parameters(), lr=settings.lr)
         rng = np.random.default_rng(seed)
         curve = []
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for epoch in range(settings.epochs):
-                order = [i for g in rng.permutation(len(groups)) for i in groups[g]]
-                epoch_loss = 0.0
-                total = 0
-                for step, lo in enumerate(range(0, len(order), settings.batch_size)):
-                    batch = [labeled[i] for i in order[lo:lo + settings.batch_size]]
-                    loss, grads = self.loss_and_grads(batch)
-                    if not np.isfinite(loss):
-                        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                        raise TrainingDivergedError(epoch, step, loss,
-                                                    curve[-1] if curve else None, norm)
-                    n = weight(batch)
-                    epoch_loss += loss * n
-                    total += n
-                    opt.step(grads, self.encoder.touched_rows)
-                curve.append(epoch_loss / max(total, 1))
+        for epoch in range(settings.epochs):
+            order = [i for g in rng.permutation(len(groups)) for i in groups[g]]
+            epoch_loss = 0.0
+            total = 0
+            for step, lo in enumerate(range(0, len(order), settings.batch_size)):
+                batch = [labeled[i] for i in order[lo:lo + settings.batch_size]]
+                loss, grads = self.loss_and_grads(batch)
+                if not np.isfinite(loss):
+                    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                    raise TrainingDivergedError(epoch, step, loss,
+                                                curve[-1] if curve else None, norm)
+                n = weight(batch)
+                epoch_loss += loss * n
+                total += n
+                opt.step(grads, self.encoder.touched_rows)
+            curve.append(epoch_loss / max(total, 1))
         for name, value in self.parameters().items():
             if not np.isfinite(value).all():
                 raise NonFiniteError(f"training left parameter {name} holding NaN or infinity")

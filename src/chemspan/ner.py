@@ -9,15 +9,15 @@ and the relation stage depends on them.
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .alignment import DocView, recoverable_entities
 from .config import PipelineConfig
 from .corpus import ENTITY_TYPES, Document
-from .encoder import EncoderModel, _softmax_rows
+from .encoder import QUIET_FLOATS, EncoderModel, _softmax_rows
 from .errors import NonFiniteError, OverLengthError
 
 log = logging.getLogger(__name__)
@@ -52,21 +52,43 @@ class SpanMention:
 
 
 def span_count(n_tokens: int, max_width: int) -> int:
-    """Closed form for the number of candidates: sum over widths of n-w+1."""
-    if n_tokens <= 0 or max_width <= 0:
-        return 0
-    top = min(max_width, n_tokens)
-    # widths 1..top contribute n, n-1, ..., n-top+1
-    return top * n_tokens - (top * (top - 1)) // 2
+    """The number of candidate spans, as `candidate_spans` enumerates them."""
+    return len(candidate_spans(n_tokens, max_width)[0])
+
+
+def candidate_spans(n_tokens: int, max_width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and end token of every candidate span, ordered by (start, width), as int arrays."""
+    counts = np.minimum(max(min(max_width, n_tokens), 0), np.arange(n_tokens, 0, -1))
+    starts = np.repeat(np.arange(n_tokens), counts)
+    return starts, starts + np.arange(len(starts)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def enumerate_spans(n_tokens: int, max_width: int, sent_id: int = 0) -> List[SpanCandidate]:
-    """All candidate spans ordered by (start, width)."""
-    out = []
-    for start in range(n_tokens):
-        for end in range(start, min(start + max_width, n_tokens)):
-            out.append(SpanCandidate(sent_id, start, end))
-    return out
+    """All candidate spans ordered by (start, width), as objects."""
+    return list(SpanArrays(*candidate_spans(n_tokens, max_width), sent_id))
+
+
+class SpanArrays:
+    """One sentence's candidate spans: sentence-relative ``starts`` and ``ends``
+    int arrays in `enumerate_spans` order. It iterates as `SpanCandidate`s."""
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray, sent_id: int = 0):
+        self.starts, self.ends, self.sent_id = starts, ends, sent_id
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[SpanCandidate]:
+        return map(partial(SpanCandidate, self.sent_id), self.starts.tolist(), self.ends.tolist())
+
+    def labels(self, gold: Dict[Tuple[int, int], str]) -> np.ndarray:
+        """Label index per span: its type in ``gold``, whose spans must all be here, else null."""
+        labels = np.full(len(self), NULL_LABEL, dtype=np.int64)
+        if gold:  # one lookup: the spans from s run by width, so (s, e) is the first plus e - s
+            s, e = np.array(list(gold), dtype=np.int64).T
+            labels[np.searchsorted(self.starts, s) + e - s] = [NER_LABELS.index(t)
+                                                               for t in gold.values()]
+        return labels
 
 
 def split_context(left_supply: int, right_supply: int, budget: int) -> Tuple[int, int]:
@@ -128,13 +150,16 @@ class NerExample:
     doc_id: str
     sent_id: int
     windowed: WindowedInput
-    candidates: List[SpanCandidate]
+    candidates: SpanArrays  # a caller's list of SpanCandidate is turned into arrays
     labels: Optional[np.ndarray]  # int per candidate, or None at predict time
     token_chars: List[Tuple[int, int]]  # per sentence token, absolute offsets
 
     def __post_init__(self):
         if not isinstance(self.windowed.symbols, Window):  # a caller's list: a window of its own
             self.windowed = WindowedInput(Window(self.windowed.symbols), self.windowed.sent_offset)
+        if not isinstance(self.candidates, SpanArrays):
+            pairs = np.array([(c.token_start, c.token_end) for c in self.candidates], np.int64)
+            self.candidates = SpanArrays(*pairs.reshape(-1, 2).T, self.sent_id)
 
     @cached_property
     def span_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,10 +168,8 @@ class NerExample:
         Built on first use and kept, so ``windowed`` and ``candidates`` must
         not change after it.
         """
-        off = self.windowed.sent_offset
-        return (np.fromiter((off + c.token_start for c in self.candidates), np.int64),
-                np.fromiter((off + c.token_end for c in self.candidates), np.int64),
-                np.fromiter((c.width - 1 for c in self.candidates), np.int64))
+        off, spans = self.windowed.sent_offset, self.candidates
+        return spans.starts + off, spans.ends + off, spans.ends - spans.starts
 
 
 class NerModel(EncoderModel):
@@ -154,8 +177,7 @@ class NerModel(EncoderModel):
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
         super().__init__(config, seed)
-        ec = self.config.encoder
-        nc = self.config.ner
+        ec, nc = self.config.encoder, self.config.ner
         rng = np.random.default_rng(seed + 101)
         rep_dim = 2 * ec.dim + nc.width_dim
         self.head = {
@@ -192,8 +214,7 @@ class NerModel(EncoderModel):
         A sentence longer than ``max_len`` raises `OverLengthError` naming the
         document and the sentence.
         """
-        nc = self.config.ner
-        ec = self.config.encoder
+        ec, nc = self.config.encoder, self.config.ner
         flat = view.flat_surfaces
         windows: Dict[Tuple[int, int], Window] = {}
         examples = []
@@ -213,34 +234,38 @@ class NerModel(EncoderModel):
             extent = (lo - left, lo + n + right)
             if extent not in windows:
                 windows[extent] = Window(flat[extent[0]:extent[1]])
-            candidates = enumerate_spans(n, nc.max_span_width, sent.sent_id)
+            spans = SpanArrays(*candidate_spans(n, nc.max_span_width), sent.sent_id)
             labels = None
             if with_labels:
-                gold: Dict[Tuple[int, int], str] = {}
-                for _, a in recoverable.get(k, ()):
-                    if a.token_end - a.token_start + 1 > nc.max_span_width:
-                        too_wide += 1
-                    else:
-                        gold[(a.token_start, a.token_end)] = a.etype
-                labels = np.full(len(candidates), NULL_LABEL, dtype=np.int64)
-                for i, c in enumerate(candidates):
-                    etype = gold.get((c.token_start, c.token_end))
-                    if etype is not None:
-                        labels[i] = NER_LABELS.index(etype)
+                aligned = [a for _, a in recoverable.get(k, ())]
+                too_wide += sum(a.token_end - a.token_start >= nc.max_span_width for a in aligned)
+                gold = {(a.token_start, a.token_end): a.etype for a in aligned
+                        if a.token_end - a.token_start < nc.max_span_width}
+                labels = spans.labels(gold)
             examples.append(NerExample(
-                view.doc.doc_id, sent.sent_id, WindowedInput(windows[extent], left), candidates,
+                view.doc.doc_id, sent.sent_id, WindowedInput(windows[extent], left), spans,
                 labels, [(t.char_start, t.char_end) for t in view.tokens[k]]))
         return examples, too_wide
 
     # -- forward / loss ------------------------------------------------------
 
-    def _span_reps(self, example: NerExample, h: np.ndarray) -> np.ndarray:
+    def _probs(self, example: NerExample, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each candidate's representation from the window encoding ``h``, and its softmax."""
         starts, ends, widths = example.span_index
-        return np.concatenate(
-            [h[starts], h[ends], self.head["ner.width_emb"][widths]], axis=1)
+        reps = np.concatenate([h[starts], h[ends], self.head["ner.width_emb"][widths]], axis=1)
+        return reps, _softmax_rows(reps @ self.head["ner.w"] + self.head["ner.b"])
 
-    def _logits(self, reps: np.ndarray) -> np.ndarray:
-        return reps @ self.head["ner.w"] + self.head["ner.b"]
+    def _picks(self, example: NerExample, encoding: Optional[np.ndarray]):
+        """Argmax label index and its probability for every candidate, as arrays."""
+        if not example.candidates:  # nothing to encode
+            return np.zeros(0, np.int64), np.zeros(0)
+        h = self.encoder.encode(example.windowed.symbols) if encoding is None else encoding
+        probs = self._probs(example, h)[1]
+        if not np.isfinite(probs).all():
+            raise NonFiniteError(f"document {example.doc_id!r} sentence {example.sent_id}: "
+                                 "span probabilities hold NaN or infinity")
+        picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
+        return picks, probs[np.arange(len(picks)), picks]
 
     def classify_spans(self, example: NerExample, encoding: Optional[np.ndarray] = None
                        ) -> List[Tuple[SpanCandidate, str, float]]:
@@ -249,35 +274,26 @@ class NerModel(EncoderModel):
         ``encoding`` is the encoder output for ``example.windowed.symbols``,
         when the caller has it already; without it the window is encoded here.
         """
-        if not example.candidates:
-            return []
-        h = self.encoder.encode(example.windowed.symbols) if encoding is None else encoding
-        reps = self._span_reps(example, h)
-        probs = _softmax_rows(self._logits(reps))
-        if not np.isfinite(probs).all():
-            raise NonFiniteError(f"document {example.doc_id!r} sentence {example.sent_id}: "
-                                 "span probabilities hold NaN or infinity")
-        picks = probs.argmax(axis=1)  # first index wins ties: CHEMICAL < GENE < null
-        return [(c, NER_LABELS[picks[i]], float(probs[i, picks[i]]))
-                for i, c in enumerate(example.candidates)]
+        picks, probs = self._picks(example, encoding)
+        return [(c, NER_LABELS[k], p)
+                for c, k, p in zip(example.candidates, picks.tolist(), probs.tolist())]
 
     def predict_mentions(self, example: NerExample, encoding: Optional[np.ndarray] = None
                          ) -> List[SpanMention]:
-        """Non-null candidates as typed mentions with character offsets."""
-        mentions = []
-        for candidate, label, prob in self.classify_spans(example, encoding):
-            if label == "null":
-                continue
-            mentions.append(SpanMention(
-                example.doc_id, example.sent_id, candidate.token_start,
-                candidate.token_end, label,
-                example.token_chars[candidate.token_start][0],
-                example.token_chars[candidate.token_end][1],
-                prob))
-        return mentions
+        """Non-null candidates as typed mentions with character offsets, built without
+        `classify_spans`: the only objects made are the mentions."""
+        picks, probs = self._picks(example, encoding)
+        keep = np.flatnonzero(picks != NULL_LABEL)
+        spans, chars = example.candidates, example.token_chars
+        return [SpanMention(example.doc_id, example.sent_id, s, e, NER_LABELS[k],
+                            chars[s][0], chars[e][1], p)
+                for s, e, k, p in zip(spans.starts[keep].tolist(), spans.ends[keep].tolist(),
+                                      picks[keep].tolist(), probs[keep].tolist())]
 
+    @QUIET_FLOATS
     def predict_view(self, view: DocView) -> List[SpanMention]:
-        """One document's predicted mentions in sentence order, each window encoded once."""
+        """One document's mentions in sentence order, each window encoded once; a non-finite
+        probability raises `NonFiniteError` without numpy warnings."""
         encodings: Dict[Window, np.ndarray] = {}
         mentions = []
         for example in self.prepare_view(view, with_labels=False)[0]:
@@ -309,8 +325,7 @@ class NerModel(EncoderModel):
             h, cache = self.encoder.forward(window)
             dh = np.zeros_like(h)
             for ex in examples:
-                reps = self._span_reps(ex, h)
-                probs = _softmax_rows(self._logits(reps))
+                reps, probs = self._probs(ex, h)
                 rows = np.arange(len(ex.candidates))
                 loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
                 dlogits = probs

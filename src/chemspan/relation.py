@@ -8,6 +8,7 @@ two-layer ReLU head over {null, CPR:3, CPR:4, CPR:5, CPR:6, CPR:9}.
 """
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,6 +21,7 @@ from .encoder import (
     CLS_SYMBOL,
     OBJ_CLOSE,
     OBJ_OPEN,
+    QUIET_FLOATS,
     SUBJ_CLOSE,
     SUBJ_OPEN,
     EncoderModel,
@@ -80,20 +82,15 @@ def insert_markers(tokens: Sequence[str], subject: Tuple[int, int],
         (s_end + 1, 1, (-s_start, s_end, 0), SUBJ_CLOSE, 1),
         (o_end + 1, 1, (-o_start, o_end, 1), OBJ_CLOSE, 3),
     ]
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    out: List[str] = []
+    events.sort(key=lambda e: e[:3])
+    out = list(tokens)
     slots = [0] * 4
-    token_map: List[int] = []
-    ei = 0
-    for i in range(n + 1):
-        while ei < len(events) and events[ei][0] == i:
-            slots[events[ei][4]] = len(out)
-            out.append(events[ei][3])
-            ei += 1
-        if i < n:
-            token_map.append(len(out))
-            out.append(tokens[i])
-    return MarkedSentence(tuple(out), tuple(slots), tuple(token_map))
+    for j, (pos, _, _, symbol, slot) in enumerate(events):  # j markers precede the j-th
+        slots[slot] = pos + j
+        out.insert(pos + j, symbol)
+    at = [e[0] for e in events]
+    token_map = tuple(i + bisect_right(at, i) for i in range(n))
+    return MarkedSentence(tuple(out), tuple(slots), token_map)
 
 
 def strip_markers(symbols: Sequence[str]) -> List[str]:
@@ -150,8 +147,7 @@ class RelationModel(EncoderModel):
         Markers never extend into context: they wrap sentence tokens only,
         and the context windows sit outside the marked sentence.
         """
-        rc = self.config.relation
-        ec = self.config.encoder
+        rc, ec = self.config.relation, self.config.encoder
         marked = insert_markers(sent_surfaces,
                                 (subject.token_start, subject.token_end),
                                 (object_.token_start, object_.token_end))
@@ -176,14 +172,17 @@ class RelationModel(EncoderModel):
                  "o_close": [oc], "mid": instance.middle_positions}
         return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
 
-    def _pooling(self, instance: RelationInstance) -> Tuple[List[int], List[np.ndarray]]:
+    def _pooling(self, instance: RelationInstance) -> Tuple[List[int], List[slice]]:
         """Sorted positions the head pools (the last block runs at these) and each
-        piece's indices among them, kept in ``instance.pooling`` by variant."""
+        piece's slice of them, kept in ``instance.pooling`` by variant. Pieces share
+        no position and the middle tokens are consecutive, so each piece is a run."""
         variant = self.config.relation.variant
         if variant not in instance.pooling:
             segments = self._segment_positions(instance)
-            rows = sorted(set().union(*segments))
-            instance.pooling[variant] = rows, [np.searchsorted(rows, pos) for pos in segments]
+            rows = sorted(p for pos in segments for p in pos)
+            firsts = [rows.index(pos[0]) if pos else 0 for pos in segments]
+            instance.pooling[variant] = rows, [slice(i, i + len(pos))
+                                               for i, pos in zip(firsts, segments)]
         return instance.pooling[variant]
 
     def build_representation(self, h: np.ndarray, instance: RelationInstance,
@@ -196,8 +195,9 @@ class RelationModel(EncoderModel):
         `_pooling` gives, ``h`` holds only the vectors at those positions.
         """
         segments = self._segment_positions(instance) if rows is None else self._pooling(instance)[1]
-        return np.concatenate([h[pos].mean(axis=0) if len(pos) else np.zeros(h.shape[1])
-                               for pos in segments])
+        pieces = [h[pos] for pos in segments]
+        return np.concatenate([np.add.reduce(x, axis=0) / len(x) if len(x) else np.zeros(h.shape[1])
+                               for x in pieces])  # bitwise the mean, without its wrapper
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -244,9 +244,9 @@ class RelationModel(EncoderModel):
             drep = self.head["re.w1"] @ du
             dh = np.zeros_like(h)
             d = self.encoder.dim
-            for k, pos in enumerate(segments):
-                if len(pos):
-                    np.add.at(dh, pos, drep[k * d:(k + 1) * d] / len(pos))
+            for k, piece in enumerate(dh[pos] for pos in segments):  # views of dh
+                if len(piece):
+                    piece += drep[k * d:(k + 1) * d] / len(piece)
             self.encoder.backward(cache, dh, grads)
         return loss * scale, grads
 
@@ -333,9 +333,11 @@ class RelationPrediction:
     prob: float
 
 
+@QUIET_FLOATS
 def predict_relations(model: RelationModel, view: DocView, sent_idx: int,
                       mentions: Sequence[SpanMention]) -> List[RelationPrediction]:
-    """Classify every pair in one sentence, keeping non-null predictions."""
+    """Classify every pair in one sentence, keeping non-null predictions; a non-finite
+    probability raises `NonFiniteError` without numpy warnings."""
     out = []
     for inst in prediction_instances(model, view, sent_idx, mentions):
         label, prob = model.classify(inst)
@@ -348,14 +350,12 @@ def predict_relations(model: RelationModel, view: DocView, sent_idx: int,
 def predict_view(ner_model: NerModel, re_model: RelationModel, view: DocView
                  ) -> Tuple[List[SpanMention], List[RelationPrediction]]:
     """Predicted entities of one document feed the relation classifier."""
-    all_mentions = ner_model.predict_view(view)
+    mentions = ner_model.predict_view(view)
     by_sent: Dict[int, List[SpanMention]] = {}
-    for m in all_mentions:
+    for m in mentions:
         by_sent.setdefault(m.sent_id, []).append(m)
-    all_relations: List[RelationPrediction] = []
-    for k, sent in enumerate(view.sentences):
-        all_relations.extend(predict_relations(re_model, view, k, by_sent.get(sent.sent_id, [])))
-    return all_mentions, all_relations
+    return mentions, [r for k, sent in enumerate(view.sentences)
+                      for r in predict_relations(re_model, view, k, by_sent.get(sent.sent_id, []))]
 
 
 def predict_e2e(ner_model: NerModel, re_model: RelationModel, docs: Sequence[Document]
@@ -365,10 +365,5 @@ def predict_e2e(ner_model: NerModel, re_model: RelationModel, docs: Sequence[Doc
     The same character-level pair predicted from two different sentences is
     kept twice here; scoring set semantics deduplicates.
     """
-    all_mentions: List[SpanMention] = []
-    all_relations: List[RelationPrediction] = []
-    for doc in docs:
-        mentions, relations = predict_view(ner_model, re_model, DocView.build(doc))
-        all_mentions.extend(mentions)
-        all_relations.extend(relations)
-    return all_mentions, all_relations
+    per_doc = [predict_view(ner_model, re_model, DocView.build(doc)) for doc in docs]
+    return [m for ms, _ in per_doc for m in ms], [r for _, rs in per_doc for r in rs]

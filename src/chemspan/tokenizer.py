@@ -8,7 +8,7 @@ what lets gold character annotations round-trip through the pipeline.
 
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 # The digit class is pinned to 0-9 on purpose: \d would also match Unicode
 # digits and silently change offsets. \s keeps Unicode whitespace semantics,
@@ -24,22 +24,17 @@ class Token:
     char_end: int  # exclusive
 
 
-def tokenize(text: str) -> List[Token]:
-    """Split ``text`` into offset-exact tokens. Deterministic, whitespace-free."""
-    return [
-        Token(i, m.group(), m.start(), m.end())
-        for i, m in enumerate(TOKEN_PATTERN.finditer(text))
-    ]
+def tokenize(text: str, start: int = 0, end: Optional[int] = None) -> List[Token]:
+    """Offset-exact, whitespace-free tokens of ``text[start:end]``, offsets into ``text``; the
+    pattern has no anchors or lookarounds, so its matches are those on the slice."""
+    matches = TOKEN_PATTERN.finditer(text, start, len(text) if end is None else end)
+    return [Token(i, m.group(), m.start(), m.end()) for i, m in enumerate(matches)]
 
 
 def tokenize_sentence(doc, sent) -> List[Token]:
     """Tokenize one sentence of a document, keeping document-absolute offsets.
 
     ``doc`` needs a ``text`` attribute and ``sent`` needs ``char_start`` /
-    ``char_end``; both the corpus dataclasses and plain stand-ins work.
+    ``char_end`` within it; both the corpus dataclasses and plain stand-ins work.
     """
-    base = sent.char_start
-    return [
-        Token(t.index, t.surface, t.char_start + base, t.char_end + base)
-        for t in tokenize(doc.text[sent.char_start:sent.char_end])
-    ]
+    return tokenize(doc.text, sent.char_start, sent.char_end)

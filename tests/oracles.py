@@ -377,3 +377,65 @@ def re_loss_and_grads_every_row(model, batch):
                 dh[p] += drep[k * d:(k + 1) * d] / len(pos)
         model.encoder.backward(cache, dh, grads)
     return loss * scale, grads
+
+
+
+# ---------------------------------------------------------------------------
+# prediction oracle: one object per candidate span, pooled pieces through np.mean
+
+def classify_pooled_by_mean(model, instance):
+    """(label index, probability) of a relation instance, each piece pooled with ``np.mean``.
+
+    The instance is encoded at the sorted positions its pieces pool, as
+    relation prediction encodes it; the head's two layers and softmax are
+    written out.
+    """
+    segments = model._segment_positions(instance)
+    rows = sorted(set().union(*segments))
+    h = model.encoder.encode(instance.symbols, rows)
+    rep = np.concatenate([h[[rows.index(p) for p in pos]].mean(axis=0) if len(pos)
+                          else np.zeros(h.shape[1]) for pos in segments])
+    head = model.head
+    z = np.maximum(rep @ head["re.w1"] + head["re.b1"], 0.0)
+    logits = z @ head["re.w2"] + head["re.b2"]
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
+    pick = int(probs.argmax())
+    return pick, float(probs[pick])
+
+
+def predict_view_per_candidate(ner_model, re_model, view, package):
+    """One document's end-to-end prediction through per-candidate objects.
+
+    The object path prediction took before its span and pair layer worked on
+    arrays, kept as the reference it must equal bitwise. NER runs
+    ``ner_model.prepare_view``, encodes each distinct window once, calls
+    ``ner_model.classify_spans`` on every example and builds a mention from
+    every non-null (candidate, label, prob) triple. Each sentence's pairs
+    come from ``package.relation.prediction_instances`` and are classified by
+    `classify_pooled_by_mean`. ``package`` is the chemspan package, handed in
+    so that this file imports none of it. Returns (mentions, relations) in
+    document order.
+    """
+    encodings = {}  # windows hash and compare by identity
+    mentions = []
+    for ex in ner_model.prepare_view(view, with_labels=False)[0]:
+        window = ex.windowed.symbols
+        if window not in encodings:
+            encodings[window] = ner_model.encoder.encode(window)
+        for candidate, label, prob in ner_model.classify_spans(ex, encodings[window]):
+            if label != "null":
+                start, end = candidate.token_start, candidate.token_end
+                mentions.append(package.SpanMention(
+                    ex.doc_id, ex.sent_id, start, end, label,
+                    ex.token_chars[start][0], ex.token_chars[end][1], prob))
+    relations = []
+    for k, sent in enumerate(view.sentences):
+        found = [m for m in mentions if m.sent_id == sent.sent_id]
+        for inst in package.relation.prediction_instances(re_model, view, k, found):
+            pick, prob = classify_pooled_by_mean(re_model, inst)
+            if package.RELATION_LABELS[pick] != "null":
+                relations.append(package.RelationPrediction(
+                    inst.doc_id, inst.sent_id, inst.subject, inst.object,
+                    package.RELATION_LABELS[pick], prob))
+    return mentions, relations

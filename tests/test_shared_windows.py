@@ -14,7 +14,15 @@ from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationCo
 from chemspan.corpus import Document
 from chemspan.encoder import SPECIAL_SYMBOLS, TinyEncoder
 from chemspan.microcorpus import load_micro_corpus
-from chemspan.ner import NerExample, NerModel, SpanCandidate, Window, WindowedInput, train_ner
+from chemspan.ner import (
+    NerExample,
+    NerModel,
+    SpanArrays,
+    SpanCandidate,
+    Window,
+    WindowedInput,
+    train_ner,
+)
 from chemspan.relation import (
     RelationModel,
     generate_pairs,
@@ -86,7 +94,7 @@ def test_cached_span_index_equals_the_candidates_plus_the_sentence_offset(docs, 
     examples = NerModel(config, seed=0).prepare_documents(docs)
     assert examples
     for ex in examples:
-        assert type(ex.candidates) is list
+        assert type(ex.candidates) is SpanArrays  # iterating it gives SpanCandidates
         assert all(type(c) is SpanCandidate for c in ex.candidates)
         off = ex.windowed.sent_offset
         starts, ends, widths = ex.span_index

@@ -144,3 +144,16 @@ def test_tokens_are_ordered_and_disjoint(text):
     for t in tokens:
         assert t.char_start < t.char_end
         assert not any(ch.isspace() for ch in t.surface)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET, max_size=60), st.data())
+def test_sentence_bounds_give_the_oracle_tokens_of_the_slice(text, data):
+    # tokenize_sentence matches within the bounds instead of tokenizing a copied slice
+    start = data.draw(st.integers(0, len(text)))
+    end = data.draw(st.integers(start, len(text)))
+    expected = [(s, a + start, b + start) for s, a, b in scan_tokens(text[start:end])]
+    tokens = tokenize_sentence(_Doc(text), _Sent(start, end))
+    assert triples(tokens) == expected
+    assert [t.index for t in tokens] == list(range(len(expected)))
+    assert tokenize(text, start, end) == tokens
