@@ -74,7 +74,7 @@ class DocView:
         sentences = segment(doc)
         tokens = [tokenize_sentence(doc, s) for s in sentences]
         flat = [t.surface for toks in tokens for t in toks]
-        return cls(doc, sentences, tokens, flat, list(accumulate(map(len, tokens[:-1]), initial=0)))
+        return cls(doc, sentences, tokens, flat, list(accumulate(map(len, tokens), initial=0))[:-1])
 
     def sentence_of_entity(self, entity: GoldEntity) -> Optional[int]:
         for k, s in enumerate(self.sentences):

@@ -175,3 +175,12 @@ def test_docview_context_is_document_ordered():
     assert left0 == []
     assert right0 == [t.surface for t in view.tokens[1]]
 
+
+
+def test_docview_sentence_starts_index_the_flat_surfaces():
+    text, ents = two_sentence_doc()
+    view = DocView.build(doc_of(text, ents))
+    assert view.sent_flat_start == [0, len(view.tokens[0])]
+    assert view.flat_surfaces == [t.surface for toks in view.tokens for t in toks]
+    blank = DocView.build(Document("blank", "", " ", "  "))  # no sentence, so no start
+    assert (blank.sentences, blank.flat_surfaces, blank.sent_flat_start) == ([], [], [])

@@ -18,10 +18,12 @@ from chemspan.corpus import ENTITY_TYPES, Document, join_title_abstract
 from chemspan.microcorpus import load_micro_corpus
 from chemspan.ner import (
     NER_LABELS,
+    NerExample,
     NerModel,
     SpanArrays,
     SpanCandidate,
     SpanMention,
+    WindowedInput,
     candidate_spans,
     span_count,
     train_ner,
@@ -121,8 +123,8 @@ def test_candidate_arrays_follow_brute_force_order_and_label_by_one_lookup(n, wi
 
 
 def test_a_caller_s_candidate_list_becomes_arrays_that_iterate_as_candidates():
-    example = chemspan.ner.NerExample(
-        "d", 4, chemspan.ner.WindowedInput(["l", "a", "b", "c"], 1),
+    example = NerExample(
+        "d", 4, WindowedInput(["l", "a", "b", "c"], 1),
         [SpanCandidate(4, 0, 0), SpanCandidate(4, 0, 2), SpanCandidate(4, 2, 2)], None,
         [(0, 1), (2, 3), (4, 5)])
     assert list(example.candidates) == [SpanCandidate(4, 0, 0), SpanCandidate(4, 0, 2),
