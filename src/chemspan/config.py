@@ -87,7 +87,7 @@ class RelationConfig:
     lr: float = 3e-3
 
     def __post_init__(self):
-        if self.variant not in _VARIANT_SEGMENTS:
+        if not isinstance(self.variant, str) or self.variant not in _VARIANT_SEGMENTS:
             raise ConfigError(f"relation.variant must be one of A-F, got {self.variant!r}")
         _check_fields("relation", self, {"head_hidden": 1, "context_window": 0,
                                          "epochs": 0, "batch_size": 1})

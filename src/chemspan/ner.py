@@ -9,7 +9,7 @@ and the relation stage depends on them.
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,16 +160,9 @@ class NerExample:
         if not isinstance(self.candidates, SpanArrays):
             pairs = np.array([(c.token_start, c.token_end) for c in self.candidates], np.int64)
             self.candidates = SpanArrays(*pairs.reshape(-1, 2).T, self.sent_id)
-
-    @cached_property
-    def span_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Window-relative start and end token, and width - 1, of each candidate.
-
-        Built on first use and kept, so ``windowed`` and ``candidates`` must
-        not change after it.
-        """
         off, spans = self.windowed.sent_offset, self.candidates
-        return spans.starts + off, spans.ends + off, spans.ends - spans.starts
+        # window-relative start and end token, and width - 1, of each candidate
+        self.span_index = spans.starts + off, spans.ends + off, spans.ends - spans.starts
 
 
 class NerModel(EncoderModel):

@@ -9,7 +9,7 @@ two-layer ReLU head over {null, CPR:3, CPR:4, CPR:5, CPR:6, CPR:9}.
 
 import dataclasses
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,16 +98,9 @@ def strip_markers(symbols: Sequence[str]) -> List[str]:
     return [s for s in symbols if s not in markers]
 
 
-def middle_token_range(subject: Tuple[int, int], object_: Tuple[int, int]) -> Tuple[int, int]:
-    """Original token indices strictly between the two spans, as [lo, hi]."""
-    lo = min(subject[1], object_[1]) + 1
-    hi = max(subject[0], object_[0]) - 1
-    return lo, hi
-
-
 @dataclass
 class RelationInstance:
-    """One candidate pair, fully assembled for the encoder."""
+    """One candidate pair, fully assembled for the encoder with the rows its head reads."""
 
     doc_id: str
     sent_id: int
@@ -116,8 +109,9 @@ class RelationInstance:
     symbols: List[str]       # [CLS] + left context + marked sentence + right context
     marker_positions: Tuple[int, int, int, int]  # positions within symbols
     middle_positions: List[int]                  # positions within symbols
+    rows: List[int]          # sorted positions the variant pools; the last block runs at these
+    pieces: List[slice]      # each pooled piece's run of rows, in the variant's order
     label: Optional[int] = None
-    pooling: Dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class RelationModel(EncoderModel):
@@ -145,7 +139,11 @@ class RelationModel(EncoderModel):
         """Markers into the sentence, then context, then the start symbol.
 
         Markers never extend into context: they wrap sentence tokens only,
-        and the context windows sit outside the marked sentence.
+        and the context windows sit outside the marked sentence. The middle
+        is every symbol strictly between the first closing and the last
+        opening marker: none when the spans are adjacent, nested, overlapping
+        or identical. Pieces share no position and the middle symbols are
+        consecutive, so each piece is a run of the sorted rows.
         """
         rc, ec = self.config.relation, self.config.encoder
         marked = insert_markers(sent_surfaces,
@@ -155,35 +153,22 @@ class RelationModel(EncoderModel):
         windowed = build_windowed_input(marked.symbols, left_context, right_context,
                                         rc.context_window, ec.max_len, reserved=1)
         shift = windowed.sent_offset + 1  # +1 for the start symbol
-        symbols = [CLS_SYMBOL] + windowed.symbols
-        lo, hi = middle_token_range((subject.token_start, subject.token_end),
-                                    (object_.token_start, object_.token_end))
-        middle = [marked.token_map[i] + shift for i in range(lo, hi + 1)] if lo <= hi else []
-        return RelationInstance(
-            doc_id, sent_id, subject, object_, symbols,
-            tuple(p + shift for p in marked.marker_positions), middle, label)
+        so, sc, oo, oc = markers = tuple(p + shift for p in marked.marker_positions)
+        middle = list(range(min(sc, oc) + 1, max(so, oo)))
+        where = {"cls": [0], "s_open": [so], "s_close": [sc], "o_open": [oo],
+                 "o_close": [oc], "mid": middle}
+        segments = [where[segment] for segment in _VARIANT_SEGMENTS[rc.variant]]
+        rows = sorted(p for pos in segments for p in pos)
+        firsts = [rows.index(pos[0]) if pos else 0 for pos in segments]
+        return RelationInstance(doc_id, sent_id, subject, object_, [CLS_SYMBOL] + windowed.symbols,
+                                markers, middle, rows,
+                                [slice(i, i + len(pos)) for i, pos in zip(firsts, segments)], label)
 
     # -- representation -------------------------------------------------------
 
     def _segment_positions(self, instance: RelationInstance) -> List[Sequence[int]]:
         """Symbol positions each pooled piece averages, in the variant's order."""
-        so, sc, oo, oc = instance.marker_positions
-        where = {"cls": [0], "s_open": [so], "s_close": [sc], "o_open": [oo],
-                 "o_close": [oc], "mid": instance.middle_positions}
-        return [where[segment] for segment in _VARIANT_SEGMENTS[self.config.relation.variant]]
-
-    def _pooling(self, instance: RelationInstance) -> Tuple[List[int], List[slice]]:
-        """Sorted positions the head pools (the last block runs at these) and each
-        piece's slice of them, kept in ``instance.pooling`` by variant. Pieces share
-        no position and the middle tokens are consecutive, so each piece is a run."""
-        variant = self.config.relation.variant
-        if variant not in instance.pooling:
-            segments = self._segment_positions(instance)
-            rows = sorted(p for pos in segments for p in pos)
-            firsts = [rows.index(pos[0]) if pos else 0 for pos in segments]
-            instance.pooling[variant] = rows, [slice(i, i + len(pos))
-                                               for i, pos in zip(firsts, segments)]
-        return instance.pooling[variant]
+        return [instance.rows[piece] for piece in instance.pieces]
 
     def build_representation(self, h: np.ndarray, instance: RelationInstance,
                              rows: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -191,13 +176,14 @@ class RelationModel(EncoderModel):
 
         The middle piece is the mean of the contextual vectors of original
         tokens strictly between the spans, and the zero vector when the
-        spans are adjacent, nested, or overlapping. With ``rows``, the rows
-        `_pooling` gives, ``h`` holds only the vectors at those positions.
+        spans are adjacent, nested, or overlapping. With ``rows``, the
+        instance's rows, ``h`` holds only the vectors at those positions;
+        without, ``h`` is a full encoding and is cut to them first.
         """
-        segments = self._segment_positions(instance) if rows is None else self._pooling(instance)[1]
-        pieces = [h[pos] for pos in segments]
-        return np.concatenate([np.add.reduce(x, axis=0) / len(x) if len(x) else np.zeros(h.shape[1])
-                               for x in pieces])  # bitwise the mean, without its wrapper
+        x = h[instance.rows] if rows is None else h
+        pieces = [x[piece] for piece in instance.pieces]
+        return np.concatenate([np.add.reduce(v, axis=0) / max(len(v), 1)
+                               for v in pieces])  # bitwise the mean; zeros when empty
 
     def _head_forward(self, rep: np.ndarray):
         u = rep @ self.head["re.w1"] + self.head["re.b1"]
@@ -209,9 +195,8 @@ class RelationModel(EncoderModel):
 
         The encoder's last block runs only at the positions the variant pools.
         """
-        rows = self._pooling(instance)[0]
-        h = self.encoder.encode(instance.symbols, rows)
-        rep = self.build_representation(h, instance, rows)
+        h = self.encoder.encode(instance.symbols, instance.rows)
+        rep = self.build_representation(h, instance, instance.rows)
         _, _, probs = self._head_forward(rep)
         if not np.isfinite(probs).all():
             raise NonFiniteError(f"document {instance.doc_id!r} sentence {instance.sent_id}: "
@@ -227,9 +212,8 @@ class RelationModel(EncoderModel):
         loss = 0.0
         scale = 1.0 / len(batch)
         for inst in batch:
-            rows, segments = self._pooling(inst)
-            h, cache = self.encoder.forward(inst.symbols, rows)
-            rep = self.build_representation(h, inst, rows)
+            h, cache = self.encoder.forward(inst.symbols, inst.rows)
+            rep = self.build_representation(h, inst, inst.rows)
             u, z, probs = self._head_forward(rep)
             loss += float(-np.log(probs[inst.label] + 1e-300))
             dlogits = probs.copy()
@@ -244,7 +228,7 @@ class RelationModel(EncoderModel):
             drep = self.head["re.w1"] @ du
             dh = np.zeros_like(h)
             d = self.encoder.dim
-            for k, piece in enumerate(dh[pos] for pos in segments):  # views of dh
+            for k, piece in enumerate(dh[p] for p in inst.pieces):  # views of dh
                 if len(piece):
                     piece += drep[k * d:(k + 1) * d] / len(piece)
             self.encoder.backward(cache, dh, grads)

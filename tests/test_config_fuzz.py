@@ -36,7 +36,8 @@ UNKNOWN = ["epoch", "seeds", "dims", ""]
 FOUND = [{"ner": {"epochs": 1, "lr": 1e308}, "relation": {"epochs": 0}},
          {"relation": {"epochs": 1, "lr": 1.7e308, "variant": "A"}, "ner": {"epochs": 0}},
          {"ner": {"epochs": 1, "width_dim": 0, "max_span_width": 2 ** 62},
-          "relation": {"epochs": 0}}]
+          "relation": {"epochs": 0}},
+         *({"relation": {"variant": value}} for value in ([], {}, [1], {"a": 1}))]
 CASES = 64
 LOADERS = {"train-ner": load_ner_model, "train-re": load_re_model}
 

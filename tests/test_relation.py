@@ -1,13 +1,16 @@
 """Marker insertion, representation pooling, and relation training tests."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemspan.config import EncoderConfig, PipelineConfig, RelationConfig
 from chemspan.corpus import Document, GoldEntity, GoldRelation
-from chemspan.encoder import grad_check
+from chemspan.encoder import OBJ_CLOSE, OBJ_OPEN, SUBJ_CLOSE, SUBJ_OPEN, grad_check
 from chemspan.alignment import DocView
 from chemspan.ner import NerModel, SpanMention
 from chemspan.relation import (
@@ -16,7 +19,6 @@ from chemspan.relation import (
     generate_pairs,
     gold_training_instances,
     insert_markers,
-    middle_token_range,
     predict_e2e,
     predict_relations,
     prediction_instances,
@@ -123,13 +125,6 @@ def test_span_outside_sentence_is_rejected():
         insert_markers(["a", "b"], (1, 0), (0, 0))
 
 
-def test_middle_range_is_empty_for_adjacent_nested_and_overlapping():
-    assert middle_token_range((0, 1), (2, 3)) == (2, 1)  # adjacent: empty
-    assert middle_token_range((2, 2), (0, 4)) == (3, 1)  # nested: empty
-    assert middle_token_range((0, 2), (1, 3)) == (3, 0)  # overlap: empty
-    assert middle_token_range((0, 0), (4, 5)) == (1, 3)  # tokens 1..3 between
-
-
 # ---------------------------------------------------------------------------
 # pair generation
 
@@ -173,6 +168,54 @@ def test_unknown_variant_is_rejected():
 def build_one_instance(model, tokens, subj, obj):
     return model.build_instance("d", 0, tokens, [], [],
                                 mention(*subj, "CHEMICAL"), mention(*obj, "GENE"))
+
+
+# the pieces each layout pools, in order, written out apart from the config's table
+LAYOUTS = {"A": ("s_open", "o_open"), "B": ("cls", "s_open", "o_open"),
+           "C": ("s_open", "mid", "o_open"), "D": ("cls", "s_open", "mid", "o_open"),
+           "E": ("s_open", "s_close", "mid", "o_open", "o_close"),
+           "F": ("cls", "s_open", "s_close", "mid", "o_open", "o_close")}
+
+
+@lru_cache(maxsize=None)
+def variant_model(variant):
+    return RelationModel(small_config(variant=variant), seed=0)
+
+
+@st.composite
+def sentence_and_spans(draw):
+    n = draw(st.integers(1, 12))
+    s0, o0 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return n, (s0, draw(st.integers(s0, n - 1))), (o0, draw(st.integers(o0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_and_spans(), st.integers(0, 4), st.integers(0, 4), st.sampled_from("ABCDEF"))
+@example((4, (0, 1), (2, 3)), 0, 0, "C")  # adjacent: no middle
+@example((5, (2, 2), (0, 4)), 1, 0, "D")  # nested: no middle
+@example((4, (0, 2), (1, 3)), 0, 2, "E")  # overlapping: no middle
+@example((6, (0, 0), (4, 5)), 2, 1, "F")  # a gap: tokens 1..3 between
+def test_instance_layout_matches_brute_force(case, n_left, n_right, variant):
+    n, subj, obj = case
+    tokens = [f"w{i}" for i in range(n)]
+    model = variant_model(variant)
+    inst = model.build_instance("d", 0, tokens, [f"l{i}" for i in range(n_left)],
+                                [f"r{i}" for i in range(n_right)],
+                                mention(*subj, "CHEMICAL"), mention(*obj, "GENE"))
+    marked = insert_markers(tokens, subj, obj)
+    shift = 1 + n_left  # [CLS], then every left context token (the window holds them all)
+    assert inst.symbols[shift:shift + len(marked.symbols)] == list(marked.symbols)
+    between = [i for i in range(n) if subj[1] < i < obj[0] or obj[1] < i < subj[0]]
+    assert inst.middle_positions == [marked.token_map[i] + shift for i in between]
+    where = {"cls": [0], "mid": inst.middle_positions,
+             **{name: [inst.symbols.index(symbol)] for name, symbol in (
+                 ("s_open", SUBJ_OPEN), ("s_close", SUBJ_CLOSE),
+                 ("o_open", OBJ_OPEN), ("o_close", OBJ_CLOSE))}}
+    segments = [where[name] for name in LAYOUTS[variant]]
+    assert type(inst.rows) is list  # a tuple would index h one axis per entry
+    assert inst.rows == sorted(p for pos in segments for p in pos)
+    assert [inst.rows[piece] for piece in inst.pieces] == segments
+    assert model._segment_positions(inst) == segments
 
 
 def test_instance_symbols_start_with_cls_and_contain_markers():
