@@ -28,11 +28,12 @@ born from a single confusion event once.
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document, is_eval_group
+from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document
 from .errors import ContractViolationError
 from .scoring import (
     EntityKey,
     RelationKey,
+    check_eval_labels,
     format_fraction,
     gold_entity_set,
     gold_relation_set,
@@ -81,6 +82,18 @@ def _relation_args(key: RelationKey) -> Tuple[EntityKey, EntityKey]:
     return (doc_id, s0, s1, chemical), (doc_id, o0, o1, gene)
 
 
+def _count_by_group(keys: Iterable[RelationKey]) -> Dict[str, int]:
+    counts = dict.fromkeys(EVAL_GROUPS, 0)
+    for key in keys:
+        counts[key[-1]] += 1
+    return counts
+
+
+def _fractions(part: Dict[str, int], whole: Dict[str, int]) -> Dict[str, float]:
+    """``part / whole`` per evaluated group, 0.0 where ``whole`` is zero."""
+    return {group: part[group] / whole[group] if whole[group] else 0.0 for group in EVAL_GROUPS}
+
+
 def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
             predicted_relations: Iterable[RelationKey]) -> ErrorBreakdown:
     """Partition relation errors against the gold corpus.
@@ -92,31 +105,25 @@ def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
     pred_entities = set(predicted_entities)
     pred_relations = set(predicted_relations)
     known = {doc.doc_id for doc in docs}
-    for key in pred_entities:
-        if key[0] not in known:
-            raise ContractViolationError(f"predicted entity names unknown document: {key}")
-    for key in pred_relations:
-        if key[0] not in known:
-            raise ContractViolationError(f"predicted relation names unknown document: {key}")
-        if not is_eval_group(key[-1]):
-            raise ContractViolationError(
-                f"predicted relation carries non-evaluated label {key[-1]!r}: {key}")
+    for what, keys in (("entity", pred_entities), ("relation", pred_relations)):
+        for key in keys:
+            if key[0] not in known:
+                raise ContractViolationError(f"predicted {what} names unknown document: {key}")
 
     gold_entities = gold_entity_set(docs)
     gold_relations = gold_relation_set(docs)
+    check_eval_labels("gold", gold_relations)
+    check_eval_labels("predicted", pred_relations)
 
     pred_labels_by_pair: Dict[Tuple, set] = {}
     for key in pred_relations:
         pred_labels_by_pair.setdefault(key[:5], set()).add(key[5])
-    gold_labels_by_pair: Dict[Tuple, set] = {}
-    for key in gold_relations:
-        gold_labels_by_pair.setdefault(key[:5], set()).add(key[5])
+    gold_pairs = {key[:5] for key in gold_relations}
 
     ner_fn_items: List[RelationKey] = []
     null_fn_items: List[RelationKey] = []
     confusion_fn_items: List[RelationKey] = []
     confusion_counts: Dict[Tuple[str, str], int] = {}
-    null_fn_count = {group: 0 for group in EVAL_GROUPS}
 
     for key in sorted(gold_relations - pred_relations):
         chem_arg, gene_arg = _relation_args(key)
@@ -126,7 +133,6 @@ def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
             predicted_here = pred_labels_by_pair.get(key[:5], set())
             if not predicted_here:
                 null_fn_items.append(key)
-                null_fn_count[key[-1]] += 1
             else:
                 confusion_fn_items.append(key)
                 # attribute the miss to one predicted label, smallest first
@@ -137,25 +143,18 @@ def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
     confusion_fp_items: List[RelationKey] = []
     spurious_fp_items: List[RelationKey] = []
 
-    for key in sorted(pred_relations - gold_relations):
+    fp_keys = pred_relations - gold_relations
+    for key in sorted(fp_keys):
         chem_arg, gene_arg = _relation_args(key)
         if chem_arg not in gold_entities or gene_arg not in gold_entities:
             ner_fp_items.append(key)
-        elif gold_labels_by_pair.get(key[:5]):
+        elif key[:5] in gold_pairs:
             confusion_fp_items.append(key)
         else:
             spurious_fp_items.append(key)
 
-    gold_by_type = {group: 0 for group in EVAL_GROUPS}
-    for key in gold_relations:
-        gold_by_type[key[-1]] = gold_by_type.get(key[-1], 0) + 1
-    pred_by_type = {group: 0 for group in EVAL_GROUPS}
-    fp_by_type = {group: 0 for group in EVAL_GROUPS}
-    for key in pred_relations:
-        pred_by_type[key[-1]] += 1
-        if key not in gold_relations:
-            fp_by_type[key[-1]] += 1
-
+    gold_by_type = _count_by_group(gold_relations)
+    pred_by_type = _count_by_group(pred_relations)
     fn_total = len(ner_fn_items) + len(null_fn_items) + len(confusion_fn_items)
     fp_total = len(ner_fp_items) + len(confusion_fp_items) + len(spurious_fp_items)
     total = fn_total + fp_total
@@ -171,13 +170,9 @@ def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
         confusion_fn=len(confusion_fn_items),
         confusion_fp=len(confusion_fp_items),
         spurious_fp=len(spurious_fp_items),
-        null_fn_by_type={
-            group: (null_fn_count[group] / gold_by_type[group] if gold_by_type[group] else 0.0)
-            for group in EVAL_GROUPS},
+        null_fn_by_type=_fractions(_count_by_group(null_fn_items), gold_by_type),
         confusion_counts=confusion_counts,
-        fp_fraction_by_pred_type={
-            group: (fp_by_type[group] / pred_by_type[group] if pred_by_type[group] else 0.0)
-            for group in EVAL_GROUPS},
+        fp_fraction_by_pred_type=_fractions(_count_by_group(fp_keys), pred_by_type),
         gold_relations_by_type=gold_by_type,
         predictions_by_type=pred_by_type,
         ner_caused_fn_items=ner_fn_items,

@@ -178,10 +178,15 @@ class RelationModel(EncoderModel):
         tokens strictly between the spans, and the zero vector when the
         spans are adjacent, nested, or overlapping. With ``rows``, the
         instance's rows, ``h`` holds only the vectors at those positions;
-        without, ``h`` is a full encoding and is cut to them first.
+        without, ``h`` is a full encoding and is cut to them first. Other
+        ``rows``, or an ``h`` without one vector per row, raise ValueError.
         """
-        x = h[instance.rows] if rows is None else h
-        pieces = [x[piece] for piece in instance.pieces]
+        if rows is None:
+            h = h[instance.rows]
+        elif (rows is not instance.rows and list(rows) != instance.rows) or len(h) != len(rows):
+            raise ValueError(f"{len(h)} vectors at rows {list(rows)} do not pool an "
+                             f"instance whose rows are {instance.rows}")
+        pieces = [h[piece] for piece in instance.pieces]
         return np.concatenate([np.add.reduce(v, axis=0) / max(len(v), 1)
                                for v in pieces])  # bitwise the mean; zeros when empty
 

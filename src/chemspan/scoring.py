@@ -13,7 +13,7 @@ recoverable gold only and pass the structural loss counts here; both roads
 produce the same totals.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
@@ -85,23 +85,20 @@ class ScoreReport:
         return record
 
 
+def _row(gold: Set, predicted: Set, lost: int) -> TypeScore:
+    tp, fp, fn = len(gold & predicted), len(predicted - gold), len(gold - predicted) + lost
+    return TypeScore(tp, fp, fn, lost, *_prf(tp, fp, fn))
+
+
 def _score_sets(task: str, gold: Set, predicted: Set,
                 lost_by_type: Mapping[str, int]) -> ScoreReport:
     types = sorted({k[-1] for k in gold} | {k[-1] for k in predicted} | set(lost_by_type))
-    per_type = {}
-    for name in types:
-        g = {k for k in gold if k[-1] == name}
-        p = {k for k in predicted if k[-1] == name}
-        lost = int(lost_by_type.get(name, 0))
-        tp, fp, fn = len(g & p), len(p - g), len(g - p) + lost
-        per_type[name] = TypeScore(tp, fp, fn, lost, *_prf(tp, fp, fn))
-    lost = sum(int(v) for v in lost_by_type.values())
-    tp = len(gold & predicted)
-    fp = len(predicted - gold)
-    fn = len(gold - predicted) + lost
-    precision, recall, f1 = _prf(tp, fp, fn)
-    return ScoreReport(task, tp, fp, fn, lost, precision, recall, f1,
-                       per_type, no_predictions=not predicted)
+    per_type = {name: _row({k for k in gold if k[-1] == name},
+                           {k for k in predicted if k[-1] == name},
+                           int(lost_by_type.get(name, 0)))
+                for name in types}
+    overall = _row(gold, predicted, sum(int(v) for v in lost_by_type.values()))
+    return ScoreReport(task, *astuple(overall), per_type, no_predictions=not predicted)
 
 
 def score_ner(gold: Iterable[EntityKey], predicted: Iterable[EntityKey],
@@ -115,20 +112,21 @@ def score_ner(gold: Iterable[EntityKey], predicted: Iterable[EntityKey],
     return _score_sets(TASK_NER, set(gold), set(predicted), lost_by_type or {})
 
 
+def check_eval_labels(side: str, keys: Iterable[RelationKey]) -> None:
+    """Refuse a non-evaluated label: a pipeline bug, not a scoring outcome."""
+    for key in keys:
+        if not is_eval_group(key[-1]):
+            raise ContractViolationError(
+                f"{side} relation carries non-evaluated label {key[-1]!r}: {key}")
+
+
 def score_re(gold: Iterable[RelationKey], predicted: Iterable[RelationKey],
              lost_by_group: Optional[Mapping[str, int]] = None) -> ScoreReport:
-    """Exact-match relation scoring; labels must be evaluated classes.
-
-    A non-evaluated label on either side is a pipeline bug, not a scoring
-    outcome, so it is rejected loudly.
-    """
+    """Exact-match relation scoring; labels on both sides must be evaluated classes."""
     gold = set(gold)
     predicted = set(predicted)
-    for side, items in (("gold", gold), ("predicted", predicted)):
-        for key in items:
-            if not is_eval_group(key[-1]):
-                raise ContractViolationError(
-                    f"{side} relation carries non-evaluated label {key[-1]!r}: {key}")
+    check_eval_labels("gold", gold)
+    check_eval_labels("predicted", predicted)
     return _score_sets(TASK_RE, gold, predicted, lost_by_group or {})
 
 
@@ -146,28 +144,17 @@ def aggregate_seeds(reports: Sequence[ScoreReport]) -> ScoreReport:
         raise ValueError(f"cannot aggregate mixed tasks {sorted(tasks)}")
     n = len(reports)
 
-    def mean(values):
-        total = sum(values)
-        return total // n if total % n == 0 else total / n
+    def mean(rows) -> TypeScore:
+        """Fieldwise mean of score rows; an int sum that divides evenly stays an int."""
+        sums = [sum(getattr(row, f.name) for row in rows) for f in fields(TypeScore)]
+        return TypeScore(*(s // n if isinstance(s, int) and s % n == 0 else s / n
+                           for s in sums))
 
-    type_names = sorted({name for r in reports for name in r.per_type})
     zero = TypeScore(0, 0, 0, 0, 0.0, 0.0, 0.0)
-    per_type = {}
-    for name in type_names:
-        rows = [r.per_type.get(name, zero) for r in reports]
-        per_type[name] = TypeScore(
-            mean([t.tp for t in rows]), mean([t.fp for t in rows]),
-            mean([t.fn for t in rows]), mean([t.lost for t in rows]),
-            sum(t.precision for t in rows) / n, sum(t.recall for t in rows) / n,
-            sum(t.f1 for t in rows) / n)
+    per_type = {name: mean([r.per_type.get(name, zero) for r in reports])
+                for name in sorted({name for r in reports for name in r.per_type})}
     return ScoreReport(
-        reports[0].task,
-        mean([r.tp for r in reports]), mean([r.fp for r in reports]),
-        mean([r.fn for r in reports]), mean([r.lost for r in reports]),
-        sum(r.precision for r in reports) / n,
-        sum(r.recall for r in reports) / n,
-        sum(r.f1 for r in reports) / n,
-        per_type,
+        reports[0].task, *astuple(mean(reports)), per_type,
         no_predictions=all(r.no_predictions for r in reports),
         seeds_aggregated=n,
         per_seed_counts=tuple((r.tp, r.fp, r.fn, r.lost) for r in reports))
@@ -228,21 +215,22 @@ def render_score_report(report: ScoreReport) -> str:
     def fmt(value):
         return format_fraction(value) if isinstance(value, float) else str(value)
 
+    def counts(tp, fp, fn, lost):
+        return f"tp={fmt(tp)} fp={fmt(fp)} fn={fmt(fn)} lost={fmt(lost)}"
+
     lines = [f"task\t{report.task}"]
     if report.seeds_aggregated > 1:
         lines.append(f"seeds\t{report.seeds_aggregated}")
-    lines.append(f"counts\ttp={fmt(report.tp)} fp={fmt(report.fp)} "
-                 f"fn={fmt(report.fn)} lost={fmt(report.lost)}")
+    lines.append(f"counts\t{counts(report.tp, report.fp, report.fn, report.lost)}")
     lines.append(f"precision\t{format_fraction(report.precision)}")
     lines.append(f"recall\t{format_fraction(report.recall)}")
     lines.append(f"f1\t{format_fraction(report.f1)}")
     if report.no_predictions:
         lines.append("note\tprecision is 0 by convention: no predictions were made")
     for name, t in sorted(report.per_type.items()):
-        lines.append(f"type[{name}]\ttp={fmt(t.tp)} fp={fmt(t.fp)} fn={fmt(t.fn)} "
-                     f"lost={fmt(t.lost)} P={format_fraction(t.precision)} "
-                     f"R={format_fraction(t.recall)} F={format_fraction(t.f1)}")
-    if report.per_seed_counts:
-        for i, (tp, fp, fn, lost) in enumerate(report.per_seed_counts):
-            lines.append(f"seed[{i}]\ttp={tp} fp={fp} fn={fn} lost={lost}")
+        lines.append(f"type[{name}]\t{counts(t.tp, t.fp, t.fn, t.lost)} "
+                     f"P={format_fraction(t.precision)} R={format_fraction(t.recall)} "
+                     f"F={format_fraction(t.f1)}")
+    for i, seed_counts in enumerate(report.per_seed_counts):
+        lines.append(f"seed[{i}]\t{counts(*seed_counts)}")
     return "\n".join(lines) + "\n"

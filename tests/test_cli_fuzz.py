@@ -4,13 +4,17 @@ A seeded hypothesis search mutates one input file of one command (a line
 dropped or repeated, fields swapped or replaced, a byte flipped, an offset
 shifted, a column added) and runs the command in-process. It must exit 0,
 or exit 2 with exactly one ``error:`` line; any other exception escapes
-``main`` as a traceback and fails the test.
+``main`` as a traceback and fails the test. Seeded checkpoint mutations
+(bytes flipped, the file cut short, header fields or config-blob values
+edited) hold ``predict-e2e`` to the same contract, with no output on exit 2.
 """
 
 import dataclasses
 import io
 import json
+import random
 import shutil
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemspan.alignment import DocView
+from chemspan.checkpoint import HEADER, MAGIC
 from chemspan.cli import _entity_records, _relation_records, main
 from chemspan.corpus import save_corpus
 from chemspan.microcorpus import build_micro_corpus
@@ -167,3 +172,69 @@ def test_out_of_bounds_correction_is_one_error_line(base, tmp_path):
     rc, err = run(["align-stats", "--corpus", tmp_path / "corpus", "--report",
                    tmp_path / "loss.txt"])
     assert rc == 2 and err.startswith("error: correction for ") and err.count("\n") == 1, err
+
+
+HEADER_VALUES = {  # each field of HEADER, in its order -> values to write there
+    "version": [0, 2, 2 ** 32 - 1],
+    "dim": [0, 1, 7, 9, 16, 2 ** 31, 2 ** 32 - 1],
+    "blocks": [0, 2, 3, 1000, 2 ** 32 - 1],
+    "seed": [-1, 1, 2 ** 62, 2 ** 63 - 1, -2 ** 63],
+}
+BLOB_VALUES = [0, -1, 1, 3, 10 ** 6, 2 ** 62, 0.5, 1e308, float("nan"), "x", "C", "ner",
+               "relation", None, True, [], {}]
+
+
+def _blob_paths(value, path=()):
+    """Every path to a value inside the checkpoint's JSON blob."""
+    yield path
+    if isinstance(value, dict):
+        for key in value:
+            yield from _blob_paths(value[key], path + (key,))
+
+
+def mutate_checkpoint(data: bytes, rng: random.Random) -> bytes:
+    """``data`` with one byte flipped, cut short, a header field or a blob value edited."""
+    kind = rng.choice(["flip", "truncate", "header", "blob"])
+    if kind == "flip":
+        at = rng.randrange(len(data))
+        return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:rng.randrange(len(data))]
+    start = len(MAGIC) + HEADER.size
+    if kind == "header":
+        fields = list(HEADER.unpack(data[len(MAGIC):start]))
+        name = rng.choice(sorted(HEADER_VALUES))
+        fields[list(HEADER_VALUES).index(name)] = rng.choice(HEADER_VALUES[name])
+        return data[:len(MAGIC)] + HEADER.pack(*fields) + data[start:]
+    (length,) = struct.unpack("<I", data[start:start + 4])
+    meta = json.loads(data[start + 4:start + 4 + length])
+    path = rng.choice(list(_blob_paths(meta))[1:])
+    parent = meta
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = rng.choice(BLOB_VALUES)
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + length:]
+
+
+def test_mutated_checkpoints_through_predict_e2e_exit_zero_or_with_one_error_line(base, tmp_path):
+    rng = random.Random(22)
+    out_rels, out_ents = tmp_path / "rels.tsv", tmp_path / "ents.tsv"
+    for i in range(64):
+        ckpts = {name: tmp_path / f"{name}.ckpt" for name in ("ner", "re")}
+        target = rng.choice(sorted(ckpts))
+        for name, path in ckpts.items():
+            data = (base / f"{name}.ckpt").read_bytes()
+            path.write_bytes(mutate_checkpoint(data, rng) if name == target else data)
+        rc, err = run(["predict-e2e", "--ner-ckpt", ckpts["ner"], "--re-ckpt", ckpts["re"],
+                       "--corpus", base / "corpus", "--out-rels", out_rels,
+                       "--out-ents", out_ents])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "Traceback" not in err, (i, err)
+        if rc == 0:
+            assert errors == [], (i, err)
+            out_rels.unlink()
+            out_ents.unlink()
+        else:
+            assert rc == 2 and len(errors) == 1, (i, rc, err)
+            assert not out_rels.exists() and not out_ents.exists(), i

@@ -250,6 +250,20 @@ def test_adjacent_spans_zero_the_middle_piece():
     np.testing.assert_array_equal(rep[d:2 * d], np.zeros(d))
 
 
+def test_representation_refuses_rows_that_are_not_the_instances():
+    model = RelationModel(small_config(), seed=0)
+    inst = build_one_instance(model, ["a", "b", "c", "d", "e"], (0, 0), (4, 4))
+    assert len(inst.symbols) == 10 and inst.rows == [1, 4, 5, 6, 7]
+    h = model.encoder.encode(inst.symbols)
+    want = model.build_representation(h, inst)
+    np.testing.assert_array_equal(model.build_representation(h[inst.rows], inst, [1, 4, 5, 6, 7]),
+                                  want)
+    for full_or_cut, rows in ((h, [0, 1]), (h[:2], [0, 1]), (h, inst.rows),
+                              (h[inst.rows], [0, 1, 2, 3, 4])):
+        with pytest.raises(ValueError, match="do not pool"):
+            model.build_representation(full_or_cut, inst, rows)
+
+
 def test_context_stays_outside_the_markers():
     model = RelationModel(small_config(), seed=0)
     inst = model.build_instance("d", 1, ["a", "b"], ["left1", "left2"], ["right1"],
