@@ -265,13 +265,17 @@ class TinyEncoder:
 
 
 class Adam:
-    """Plain Adam over a name -> array parameter dict.
+    """Plain Adam over a name -> array dict, one elementwise pass per array.
 
-    ``step``'s optional ``rows`` maps a parameter name to the rows of it to
-    step (an index array or a slice), as `TinyEncoder.touched_rows` gives;
-    other parameters are stepped whole. A row left out must never have had a
-    gradient, so that its update would be exactly 0 and the step is bitwise a
-    dense one; a row that has had one is stepped even when it gets none.
+    An array may be a flat buffer whose views are many parameters, as
+    `EncoderModel` packs them. Each pass runs the plain expression's
+    operations in its order into two scratch arrays made once, so it is
+    bitwise that expression. ``step``'s optional ``rows`` maps a name to the
+    rows of it to step (an index array or a slice), as
+    `TinyEncoder.touched_rows` gives; other arrays are stepped whole. A row
+    left out must never have had a gradient, so that its update would be
+    exactly 0 and the step is bitwise a dense one; a row that has had one is
+    stepped even when it gets none.
     """
 
     def __init__(self, params: Params, lr: float):
@@ -280,6 +284,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        size = max((v.size for v in params.values()), default=0)
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, grads: Params, rows: Optional[Dict[str, object]] = None) -> None:
         self.t += 1
@@ -289,21 +295,39 @@ class Adam:
         for key, p_all in self.params.items():
             sel = rows.get(key, slice(None))
             p, g, m, v = p_all[sel], grads[key][sel], self.m[key][sel], self.v[key][sel]
+            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+            # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), products' operands swapped
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=a)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+            v += np.multiply(np.multiply(g, 1.0 - _BETA2, out=a), g, out=a)
+            np.add(np.sqrt(np.divide(v, b2c, out=a), out=a), _ADAM_EPS, out=a)
+            p -= np.divide(np.multiply(np.divide(m, b1c, out=b), self.lr, out=b), a, out=b)
             if not isinstance(sel, slice):  # an index array gathered copies
                 p_all[sel], self.m[key][sel], self.v[key][sel] = p, m, v
+
+
+LOOSE = ("tok_emb", "pos_emb")  # stepped at their touched rows; every other array is packed
+
+
+def _views(flat: np.ndarray, shapes: Dict[str, tuple]) -> Params:
+    """Contiguous views of ``flat``, one per name, laid end to end in ``shapes`` order."""
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        views[name] = flat[at:at + math.prod(shape)].reshape(shape)
+        at += views[name].size
+    return views
 
 
 class EncoderModel:
     """A task head over a `TinyEncoder` built from ``config.encoder``.
 
-    Subclasses fill ``head`` (name -> array) and define
+    Subclasses build ``head`` (name -> array) in ``_build_head`` and define
     ``loss_and_grads(batch)``, returning the batch's mean loss and a
-    gradient dict shaped like ``parameters()``.
+    gradient dict from ``zero_grads()``. Once the head is built, every
+    parameter but the `LOOSE` embedding tables becomes a view of one flat
+    buffer, which Adam steps in one pass; no array is rebound after that.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
@@ -313,7 +337,16 @@ class EncoderModel:
         self.config = config or PipelineConfig()
         self.seed = seed
         self.encoder = TinyEncoder(**dataclasses.asdict(self.config.encoder), seed=seed)
-        self.head: Params = {}
+        self.head = self._build_head()
+        params = self.parameters()
+        self._shapes = {k: v.shape for k, v in params.items() if k not in LOOSE}
+        self._flat = np.concatenate([params[k].ravel() for k in self._shapes])
+        packed = _views(self._flat, self._shapes)
+        for table in (self.encoder.params, self.head):
+            table.update({k: packed[k] for k in table if k in packed})
+
+    def _build_head(self) -> Params:
+        return {}
 
     def parameters(self) -> Params:
         merged = dict(self.encoder.params)
@@ -321,7 +354,14 @@ class EncoderModel:
         return merged
 
     def zero_grads(self) -> Params:
-        return {k: np.zeros(v.shape) for k, v in self.parameters().items()}
+        """New zero gradients shaped like ``parameters()``, packed in a new buffer of their own."""
+        packed = _views(np.zeros(self._flat.size), self._shapes)
+        return {k: packed[k] if k in packed else np.zeros(v.shape)
+                for k, v in self.parameters().items()}
+
+    def _segments(self, arrays: Params) -> Params:
+        """Parameters or gradients as Adam steps them: the packed buffer, then the tables."""
+        return {"packed": arrays[next(iter(self._shapes))].base, **{k: arrays[k] for k in LOOSE}}
 
     @QUIET_FLOATS
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
@@ -345,7 +385,8 @@ class EncoderModel:
         for i, item in enumerate(labeled):
             by_key.setdefault(i if key is None else key(item), []).append(i)
         groups = list(by_key.values())
-        opt = Adam(self.parameters(), lr=settings.lr)
+        segments = self._segments(self.parameters())
+        opt = Adam(segments, lr=settings.lr)
         rng = np.random.default_rng(seed)
         curve = []
         for epoch in range(settings.epochs):
@@ -362,11 +403,11 @@ class EncoderModel:
                 n = weight(batch)
                 epoch_loss += loss * n
                 total += n
-                opt.step(grads, self.encoder.touched_rows)
+                opt.step(self._segments(grads), self.encoder.touched_rows)
             curve.append(epoch_loss / max(total, 1))
-        for name, value in self.parameters().items():
-            if not np.isfinite(value).all():
-                raise NonFiniteError(f"training left parameter {name} holding NaN or infinity")
+        if not all(np.isfinite(segment).all() for segment in segments.values()):
+            name = next(k for k, v in self.parameters().items() if not np.isfinite(v).all())
+            raise NonFiniteError(f"training left parameter {name} holding NaN or infinity")
         return curve
 
 

@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alignment import DocView, recoverable_entities
-from .config import PipelineConfig
 from .corpus import ENTITY_TYPES, Document
 from .encoder import QUIET_FLOATS, EncoderModel, _softmax_rows
 from .errors import NonFiniteError, OverLengthError
@@ -165,15 +164,23 @@ class NerExample:
         self.span_index = spans.starts + off, spans.ends + off, spans.ends - spans.starts
 
 
+def _scatter_rows(rows: List[np.ndarray], blocks: List[np.ndarray], n: int) -> np.ndarray:
+    """``np.add.at(np.zeros((n, d)), rows[k], blocks[k])`` for each k in turn, bitwise:
+    one `np.bincount` sums each element in input order, starting from zero."""
+    values = np.concatenate(blocks)
+    d = values.shape[1]
+    index = np.concatenate(rows)[:, None] * d + np.arange(d)
+    return np.bincount(index.ravel(), values.ravel(), n * d).reshape(n, d)
+
+
 class NerModel(EncoderModel):
     """Span classifier over a trainable encoder."""
 
-    def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
-        super().__init__(config, seed)
+    def _build_head(self):
         ec, nc = self.config.encoder, self.config.ner
-        rng = np.random.default_rng(seed + 101)
+        rng = np.random.default_rng(self.seed + 101)
         rep_dim = 2 * ec.dim + nc.width_dim
-        self.head = {
+        return {
             "ner.width_emb": rng.normal(0.0, 0.1, (nc.max_span_width, nc.width_dim)),
             "ner.w": rng.normal(0.0, rep_dim ** -0.5, (rep_dim, len(NER_LABELS))),
             "ner.b": np.zeros(len(NER_LABELS)),
@@ -303,7 +310,8 @@ class NerModel(EncoderModel):
         one forward pass, the window's examples in batch order adding their
         span gradients into one output gradient, and one backward pass. The
         encoder's gradients equal those of one backward per example up to the
-        order of float summation.
+        order of float summation. The output gradient, and the width
+        embeddings' over the batch, are one `_scatter_rows` each.
         """
         grads = self.zero_grads()
         total_spans = sum(len(ex.candidates) for ex in batch)
@@ -313,10 +321,12 @@ class NerModel(EncoderModel):
         for ex in batch:
             if ex.candidates:
                 windows.setdefault(ex.windowed.symbols, []).append(ex)
+        d = self.encoder.dim
         loss = 0.0
+        widths, width_grads = [], []
         for window, examples in windows.items():
             h, cache = self.encoder.forward(window)
-            dh = np.zeros_like(h)
+            boundaries, boundary_grads = [], []  # start then end rows of each example
             for ex in examples:
                 reps, probs = self._probs(ex, h)
                 rows = np.arange(len(ex.candidates))
@@ -327,12 +337,12 @@ class NerModel(EncoderModel):
                 grads["ner.w"] += reps.T @ dlogits
                 grads["ner.b"] += dlogits.sum(axis=0)
                 dreps = dlogits @ self.head["ner.w"].T
-                d = self.encoder.dim
-                starts, ends, widths = ex.span_index
-                np.add.at(dh, starts, dreps[:, :d])
-                np.add.at(dh, ends, dreps[:, d:2 * d])
-                np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
-            self.encoder.backward(cache, dh, grads)
+                boundaries += ex.span_index[:2]
+                boundary_grads += dreps[:, :d], dreps[:, d:2 * d]
+                widths.append(ex.span_index[2])
+                width_grads.append(dreps[:, 2 * d:])
+            self.encoder.backward(cache, _scatter_rows(boundaries, boundary_grads, len(h)), grads)
+        grads["ner.width_emb"] += _scatter_rows(widths, width_grads, len(grads["ner.width_emb"]))
         return loss / total_spans, grads
 
 

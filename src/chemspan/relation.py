@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alignment import DocView, recoverable_entities
-from .config import _VARIANT_SEGMENTS, PipelineConfig
+from .config import _VARIANT_SEGMENTS
 from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document
 from .encoder import (
     CLS_SYMBOL,
@@ -117,12 +117,11 @@ class RelationInstance:
 class RelationModel(EncoderModel):
     """Typed-marker relation classifier over a trainable encoder."""
 
-    def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
-        super().__init__(config, seed)
+    def _build_head(self):
         rc = self.config.relation
         rep_dim = representation_width(rc.variant, self.config.encoder.dim)
-        rng = np.random.default_rng(seed + 202)
-        self.head = {
+        rng = np.random.default_rng(self.seed + 202)
+        return {
             "re.w1": rng.normal(0.0, rep_dim ** -0.5, (rep_dim, rc.head_hidden)),
             "re.b1": np.zeros(rc.head_hidden),
             "re.w2": rng.normal(0.0, rc.head_hidden ** -0.5,

@@ -135,13 +135,18 @@ def aggregate_seeds(reports: Sequence[ScoreReport]) -> ScoreReport:
 
     Metrics are averaged, never recomputed from pooled counts; the raw
     per-seed counts ride along so nothing is hidden. Count fields hold the
-    per-seed means (floats unless every seed agreed).
+    per-seed means (floats unless every seed agreed). Each report must be one
+    seed's: an aggregate among them raises `ValueError`, as an empty list does.
     """
     if not reports:
         raise ValueError("cannot aggregate an empty list of score reports")
     tasks = {r.task for r in reports}
     if len(tasks) != 1:
         raise ValueError(f"cannot aggregate mixed tasks {sorted(tasks)}")
+    for i, r in enumerate(reports):
+        if r.seeds_aggregated > 1:
+            raise ValueError(f"cannot aggregate report {i}: it already aggregates "
+                             f"{r.seeds_aggregated} seeds")
     n = len(reports)
 
     def mean(rows) -> TypeScore:

@@ -439,3 +439,46 @@ def predict_view_per_candidate(ner_model, re_model, view, package):
                     inst.doc_id, inst.sent_id, inst.subject, inst.object,
                     package.RELATION_LABELS[pick], prob))
     return mentions, relations
+
+
+# ---------------------------------------------------------------------------
+# NER scatter oracle: every span's boundary gradient added by np.add.at
+
+def ner_loss_and_grads_add_at(model, batch):
+    """``NerModel.loss_and_grads`` with each example scattering through ``np.add.at``.
+
+    The body the model had before its scatters became one ``np.bincount``
+    each, in the same order, so that agreement is bitwise: windows in order
+    of first appearance, one forward and one backward each, and every
+    example's start, end and width gradients added with three ``np.add.at``
+    calls into the window's output gradient and the width embeddings.
+    """
+    grads = model.zero_grads()
+    total_spans = sum(len(ex.candidates) for ex in batch)
+    if total_spans == 0:
+        return 0.0, grads
+    windows = {}  # windows hash and compare by identity
+    for ex in batch:
+        if len(ex.candidates):
+            windows.setdefault(ex.windowed.symbols, []).append(ex)
+    loss = 0.0
+    for window, examples in windows.items():
+        h, cache = model.encoder.forward(window)
+        dh = np.zeros_like(h)
+        for ex in examples:
+            reps, probs = model._probs(ex, h)
+            rows = np.arange(len(ex.candidates))
+            loss += float(-np.log(probs[rows, ex.labels] + 1e-300).sum())
+            dlogits = probs
+            dlogits[rows, ex.labels] -= 1.0
+            dlogits /= total_spans
+            grads["ner.w"] += reps.T @ dlogits
+            grads["ner.b"] += dlogits.sum(axis=0)
+            dreps = dlogits @ model.head["ner.w"].T
+            d = model.encoder.dim
+            starts, ends, widths = ex.span_index
+            np.add.at(dh, starts, dreps[:, :d])
+            np.add.at(dh, ends, dreps[:, d:2 * d])
+            np.add.at(grads["ner.width_emb"], widths, dreps[:, 2 * d:])
+        model.encoder.backward(cache, dh, grads)
+    return loss / total_spans, grads

@@ -1,5 +1,7 @@
 """Span enumeration, context windowing, and NER training tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,31 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(diverging_epoch):
     assert err.value.grad_norm == pytest.approx(squares ** 0.5, rel=1e-12)
     assert err.value.grad_norm > 0.0
     assert f"gradient norm {err.value.grad_norm!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("diverging_epoch", [0, 2])
+def test_divergence_gradient_norm_is_the_per_array_norm_exactly(diverging_epoch):
+    model = NerModel(small_config(batch_size=1, epochs=diverging_epoch + 1), seed=0)
+    examples = model.prepare_documents([doc_one_sentence(), doc_nested()])
+    real = model.loss_and_grads
+    batch_grads = []
+
+    def loss_and_grads(batch):
+        loss, grads = real(batch)
+        batch_grads.append(grads)
+        return (float("inf") if len(batch_grads) > diverging_epoch * len(examples)
+                else loss), grads
+
+    model.loss_and_grads = loss_and_grads
+    with pytest.raises(TrainingDivergedError) as err:
+        train_ner(model, examples, seed=0)
+    grads = batch_grads[-1]
+    assert list(grads) == list(model.parameters())
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))  # array by array
+    assert err.value.grad_norm == norm
+    assert str(err.value) == (f"non-finite loss inf at epoch {diverging_epoch}, step 0; "
+                              f"last finite epoch loss {err.value.last_loss!r}, "
+                              f"gradient norm {norm!r}")
 
 
 def test_gradients_of_a_batch_sharing_a_window_match_finite_differences():

@@ -206,6 +206,14 @@ def test_aggregation_rejects_empty_and_mixed_inputs():
         aggregate_seeds([score_ner(set(), set()), score_re(set(), set())])
 
 
+def test_aggregation_rejects_a_report_that_is_already_an_aggregate():
+    a, b = score_ner({ekey()}, {ekey()}), score_ner({ekey()}, set())
+    with pytest.raises(ValueError, match=r"report 0: it already aggregates 2 seeds"):
+        aggregate_seeds([aggregate_seeds([a, b]), a, b])
+    with pytest.raises(ValueError, match=r"report 2: "):
+        aggregate_seeds([a, b, aggregate_seeds([a, b, a])])
+
+
 # ---------------------------------------------------------------------------
 # key builders
 
