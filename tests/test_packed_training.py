@@ -7,8 +7,6 @@ exactly, the packed layout is checked after construction and after a load, and
 the post-training finiteness message is pinned.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,12 +19,7 @@ from chemspan.ner import NerExample, NerModel, Window, WindowedInput, train_ner
 from chemspan.relation import RelationModel, gold_training_instances, train_re
 
 from oracles import ner_loss_and_grads_add_at
-
-
-def with_training(section, **changes):
-    config = PipelineConfig()
-    return dataclasses.replace(
-        config, **{section: dataclasses.replace(getattr(config, section), **changes)})
+from test_grouped_batches import with_training
 
 
 def assert_same_loss_and_grads(got, want):
@@ -42,7 +35,7 @@ def assert_same_loss_and_grads(got, want):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_every_batch_of_two_epochs_equals_the_add_at_oracle(seed):
-    model = NerModel(with_training("ner", epochs=2), seed=seed)
+    model = NerModel(with_training(PipelineConfig(), "ner", epochs=2), seed=seed)
     real = model.loss_and_grads
     checked = []
 
@@ -114,7 +107,7 @@ def train_micro(model, seed):
 def test_parameters_share_one_buffer_after_construction_and_after_a_load(task, tmp_path):
     model_class, save, load = {"ner": (NerModel, save_ner_model, load_ner_model),
                                "re": (RelationModel, save_re_model, load_re_model)}[task]
-    config = with_training("ner" if task == "ner" else "relation", epochs=2)
+    config = with_training(PipelineConfig(), "ner" if task == "ner" else "relation", epochs=2)
     model = model_class(config, seed=2)
     assert_packed(model)
     first, second = model.zero_grads(), model.zero_grads()
@@ -147,7 +140,8 @@ def test_parameters_share_one_buffer_after_construction_and_after_a_load(task, t
     (["pos_emb"], "pos_emb"),
 ])
 def test_a_parameter_left_non_finite_is_named_in_parameter_order(poisoned, named):
-    model = NerModel(with_training("ner", epochs=1, batch_size=64), seed=0)  # one step
+    one_step = with_training(PipelineConfig(), "ner", epochs=1, batch_size=64)
+    model = NerModel(one_step, seed=0)
     real = model.loss_and_grads
 
     def loss_and_grads(batch):
