@@ -25,7 +25,7 @@ every FP and FN separately, while ``re_errors_joint`` counts the FP+FN pair
 born from a single confusion event once.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .corpus import ENTITY_TYPES, EVAL_GROUPS, Document
@@ -42,35 +42,40 @@ from .scoring import (
 
 @dataclass
 class ErrorBreakdown:
-    re_errors_total: int
-    re_errors_joint: int
-    re_errors_ner_caused: int
-    fn_total: int
-    fp_total: int
-    ner_caused_fn: int
-    ner_caused_fp: int
-    null_fn: int
-    confusion_fn: int
-    confusion_fp: int
-    spurious_fp: int
     null_fn_by_type: Dict[str, float]
     confusion_counts: Dict[Tuple[str, str], int]
     fp_fraction_by_pred_type: Dict[str, float]
     gold_relations_by_type: Dict[str, int]
     predictions_by_type: Dict[str, int]
-    # item lists for example dumps, sorted for determinism
-    ner_caused_fn_items: List[RelationKey] = field(default_factory=list)
-    ner_caused_fp_items: List[RelationKey] = field(default_factory=list)
-    null_fn_items: List[RelationKey] = field(default_factory=list)
-    confusion_fn_items: List[RelationKey] = field(default_factory=list)
-    confusion_fp_items: List[RelationKey] = field(default_factory=list)
-    spurious_fp_items: List[RelationKey] = field(default_factory=list)
+    # one item list per category, sorted for determinism
+    ner_caused_fn_items: List[RelationKey]
+    ner_caused_fp_items: List[RelationKey]
+    null_fn_items: List[RelationKey]
+    confusion_fn_items: List[RelationKey]
+    confusion_fp_items: List[RelationKey]
+    spurious_fp_items: List[RelationKey]
+
+    # every count is read off the item lists
+    ner_caused_fn = property(lambda self: len(self.ner_caused_fn_items))
+    ner_caused_fp = property(lambda self: len(self.ner_caused_fp_items))
+    null_fn = property(lambda self: len(self.null_fn_items))
+    confusion_fn = property(lambda self: len(self.confusion_fn_items))
+    confusion_fp = property(lambda self: len(self.confusion_fp_items))
+    spurious_fp = property(lambda self: len(self.spurious_fp_items))
+    fn_total = property(lambda self: self.ner_caused_fn + self.null_fn + self.confusion_fn)
+    fp_total = property(lambda self: self.ner_caused_fp + self.confusion_fp + self.spurious_fp)
+    re_errors_total = property(lambda self: self.fn_total + self.fp_total)
+    re_errors_joint = property(  # one confusion event costs one FP and one FN
+        lambda self: self.re_errors_total - min(self.confusion_fn, self.confusion_fp))
+    re_errors_ner_caused = property(lambda self: self.ner_caused_fn + self.ner_caused_fp)
 
     def to_record(self) -> dict:
-        """Every field but the item lists, which the per-category dumps hold."""
+        """Every count and field but the item lists, which the per-category dumps hold."""
         items = {attr for _, attr in CATEGORY_ITEMS}
         record = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name not in items}
+        record.update((name, getattr(self, name)) for name, value in vars(ErrorBreakdown).items()
+                      if isinstance(value, property))
         record["confusion_counts"] = {f"{g}->{p}": c for (g, p), c
                                       in sorted(self.confusion_counts.items())}
         return record
@@ -155,21 +160,7 @@ def analyze(docs: Sequence[Document], predicted_entities: Iterable[EntityKey],
 
     gold_by_type = _count_by_group(gold_relations)
     pred_by_type = _count_by_group(pred_relations)
-    fn_total = len(ner_fn_items) + len(null_fn_items) + len(confusion_fn_items)
-    fp_total = len(ner_fp_items) + len(confusion_fp_items) + len(spurious_fp_items)
-    total = fn_total + fp_total
     return ErrorBreakdown(
-        re_errors_total=total,
-        re_errors_joint=total - min(len(confusion_fn_items), len(confusion_fp_items)),
-        re_errors_ner_caused=len(ner_fn_items) + len(ner_fp_items),
-        fn_total=fn_total,
-        fp_total=fp_total,
-        ner_caused_fn=len(ner_fn_items),
-        ner_caused_fp=len(ner_fp_items),
-        null_fn=len(null_fn_items),
-        confusion_fn=len(confusion_fn_items),
-        confusion_fp=len(confusion_fp_items),
-        spurious_fp=len(spurious_fp_items),
         null_fn_by_type=_fractions(_count_by_group(null_fn_items), gold_by_type),
         confusion_counts=confusion_counts,
         fp_fraction_by_pred_type=_fractions(_count_by_group(fp_keys), pred_by_type),

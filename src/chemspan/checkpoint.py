@@ -100,18 +100,18 @@ def load_checkpoint(path) -> Tuple[str, dict, Tuple[int, int, int], Dict[str, np
 # ---------------------------------------------------------------------------
 # model wrappers
 
-KIND_NER = "ner"
-KIND_RE = "re"
+# a checkpoint's kind -> the model class it holds
+KINDS = {"ner": NerModel, "re": RelationModel}
 
 
 def model_bytes(model) -> bytes:
     """A span or relation model's checkpoint: config, seed, and every array."""
-    kind = KIND_NER if isinstance(model, NerModel) else KIND_RE
+    kind = next(k for k, cls in KINDS.items() if isinstance(model, cls))
     return checkpoint_bytes(kind, model.encoder.dim, model.encoder.blocks,
                             model.seed, model.config.to_dict(), model.parameters())
 
 
-def _load_model(path, expected_kind: str, factory):
+def _load_model(path, expected_kind: str):
     kind, config, (dim, blocks, seed), params = load_checkpoint(path)
     if kind != expected_kind:
         raise CheckpointError(
@@ -124,7 +124,7 @@ def _load_model(path, expected_kind: str, factory):
             raise CheckpointError(
                 f"{path}: header says dim={dim}, blocks={blocks}; config blob says "
                 f"dim={cfg.encoder.dim}, blocks={cfg.encoder.blocks}")
-        model = factory(cfg, seed)
+        model = KINDS[expected_kind](cfg, seed)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CheckpointError(f"{path}: config blob does not build a model ({exc})") from None
     current = model.parameters()
@@ -147,7 +147,7 @@ def save_ner_model(path, model) -> None:
 
 
 def load_ner_model(path):
-    return _load_model(path, KIND_NER, NerModel)
+    return _load_model(path, "ner")
 
 
 def save_re_model(path, model) -> None:
@@ -155,4 +155,4 @@ def save_re_model(path, model) -> None:
 
 
 def load_re_model(path):
-    return _load_model(path, KIND_RE, RelationModel)
+    return _load_model(path, "re")

@@ -403,31 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lost-item record file (default: <report>.items.tsv)")
     p.set_defaults(fn=cmd_align_stats)
 
-    p = sub.add_parser("train-ner", help="train the span-based entity model")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_ner)
+    for task, train_help, train, predict_help, predict in (
+            ("ner", "train the span-based entity model", cmd_train_ner,
+             "predict entity mentions", cmd_predict_ner),
+            ("re", "train the relation model on gold pairs", cmd_train_re,
+             "classify gold entity pairs", cmd_predict_re)):
+        p = sub.add_parser(f"train-{task}", help=train_help)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--config", default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=train)
 
-    p = sub.add_parser("predict-ner", help="predict entity mentions")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_predict_ner)
-
-    p = sub.add_parser("train-re", help="train the relation model on gold pairs")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_re)
-
-    p = sub.add_parser("predict-re", help="classify gold entity pairs")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_predict_re)
+        p = sub.add_parser(f"predict-{task}", help=predict_help)
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=predict)
 
     p = sub.add_parser("predict-e2e", help="predict entities, then relations")
     p.add_argument("--ner-ckpt", required=True)

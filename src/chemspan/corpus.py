@@ -195,7 +195,6 @@ def load_corpus_with_diagnostics(
     # entity_id -> entity per document, in file order
     entities: Dict[str, Dict[str, GoldEntity]] = {d: {} for d in texts}
     if entities_path is not None:
-        n = 0
         for line_no, cols in read_tsv(entities_path, 6):
             doc_id, entity_id, raw_type, raw_start, raw_end, surface = cols
             if doc_id not in texts:
@@ -219,12 +218,10 @@ def load_corpus_with_diagnostics(
                                         f"duplicate {entity_id!r} in document {doc_id}")
             entities[doc_id][entity_id] = GoldEntity(
                 entity_id, DEFAULT_TYPE_MAP[raw_type], start, end, surface)
-            n += 1
-        diags.line_counts[str(entities_path)] = n
+        diags.line_counts[str(entities_path)] = sum(map(len, entities.values()))
 
     relations: Dict[str, List[GoldRelation]] = {d: [] for d in texts}
     if relations_path is not None:
-        n = 0
         seen: Dict[Tuple[str, str, str, str], int] = {}
         for line_no, cols in read_tsv(relations_path, 4, 6):
             # (doc, group, arg1, arg2), a flag column after the group, and a
@@ -270,8 +267,7 @@ def load_corpus_with_diagnostics(
                 continue
             seen[key] = line_no
             relations[doc_id].append(GoldRelation(group, flag, arg1, arg2))
-            n += 1
-        diags.line_counts[str(relations_path)] = n
+        diags.line_counts[str(relations_path)] = len(seen)  # duplicates dropped
 
         pair_labels: Dict[Tuple[str, str, str], List[str]] = {}
         for doc_id, rels in relations.items():
@@ -284,7 +280,6 @@ def load_corpus_with_diagnostics(
 
     boundaries: Dict[str, List[Tuple[int, int]]] = {}
     if sentences_path is not None:
-        n = 0
         for line_no, (doc_id, raw_start, raw_end) in read_tsv(sentences_path, 3):
             if doc_id not in texts:
                 raise DanglingReferenceError(doc_id, f"[{raw_start},{raw_end})",
@@ -292,8 +287,7 @@ def load_corpus_with_diagnostics(
                                              f"{sentences_path}:{line_no}")
             start, end = _ints(sentences_path, line_no, "offsets", raw_start, raw_end)
             boundaries.setdefault(doc_id, []).append((start, end))
-            n += 1
-        diags.line_counts[str(sentences_path)] = n
+        diags.line_counts[str(sentences_path)] = sum(map(len, boundaries.values()))
 
     docs = []
     for doc_id, (title, abstract) in texts.items():

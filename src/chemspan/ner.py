@@ -215,7 +215,6 @@ class NerModel(EncoderModel):
         document and the sentence.
         """
         ec, nc = self.config.encoder, self.config.ner
-        flat = view.flat_surfaces
         windows: Dict[Tuple[int, int], Window] = {}
         examples = []
         too_wide = 0
@@ -224,16 +223,18 @@ class NerModel(EncoderModel):
             n = len(view.tokens[k])
             if not n:
                 continue
-            if n > ec.max_len:
-                raise OverLengthError(
-                    f"document {view.doc.doc_id!r} sentence {sent.sent_id}: {n} tokens "
-                    f"exceed max_len={ec.max_len}; context can shrink, the sentence cannot")
             lo = view.sent_flat_start[k]
-            left, right = split_context(lo, len(flat) - lo - n,
-                                        min(nc.context_window, ec.max_len - n))
-            extent = (lo - left, lo + n + right)
+            try:
+                windowed = build_windowed_input(view.flat_surfaces[lo:lo + n], *view.context(k),
+                                                nc.context_window, ec.max_len)
+            except OverLengthError:
+                raise OverLengthError(
+                    f"document {view.doc.doc_id!r} sentence {sent.sent_id}: {n} tokens exceed "
+                    f"max_len={ec.max_len}; context can shrink, the sentence cannot") from None
+            left = windowed.sent_offset
+            extent = (lo - left, lo - left + len(windowed.symbols))
             if extent not in windows:
-                windows[extent] = Window(flat[extent[0]:extent[1]])
+                windows[extent] = Window(windowed.symbols)
             spans = SpanArrays(*candidate_spans(n, nc.max_span_width), sent.sent_id)
             labels = None
             if with_labels:

@@ -22,6 +22,7 @@ from .encoder import (
     OBJ_CLOSE,
     OBJ_OPEN,
     QUIET_FLOATS,
+    SPECIAL_SYMBOLS,
     SUBJ_CLOSE,
     SUBJ_OPEN,
     EncoderModel,
@@ -94,7 +95,7 @@ def insert_markers(tokens: Sequence[str], subject: Tuple[int, int],
 
 
 def strip_markers(symbols: Sequence[str]) -> List[str]:
-    markers = {SUBJ_OPEN, SUBJ_CLOSE, OBJ_OPEN, OBJ_CLOSE}
+    markers = set(SPECIAL_SYMBOLS) - {CLS_SYMBOL}
     return [s for s in symbols if s not in markers]
 
 
@@ -142,12 +143,19 @@ class RelationModel(EncoderModel):
         is every symbol strictly between the first closing and the last
         opening marker: none when the spans are adjacent, nested, overlapping
         or identical. Pieces share no position and the middle symbols are
-        consecutive, so each piece is a run of the sorted rows.
+        consecutive, so each piece is a run of the sorted rows. A sentence with
+        no room for its markers and ``[CLS]`` raises `OverLengthError` naming it.
         """
         rc, ec = self.config.relation, self.config.encoder
         marked = insert_markers(sent_surfaces,
                                 (subject.token_start, subject.token_end),
                                 (object_.token_start, object_.token_end))
+        if len(sent_surfaces) + 5 > ec.max_len:
+            raise OverLengthError(
+                f"document {doc_id!r} sentence {sent_id}: {len(sent_surfaces)} tokens "
+                f"+ 4 markers + {CLS_SYMBOL} exceed max_len={ec.max_len}; "
+                "a relation instance needs 5 symbols more than NER, and context can shrink, "
+                "the sentence cannot")
         # 4 markers are already inside `marked`; reserve 1 for the start symbol
         windowed = build_windowed_input(marked.symbols, left_context, right_context,
                                         rc.context_window, ec.max_len, reserved=1)
@@ -284,24 +292,12 @@ def gold_training_instances(model: RelationModel, docs: Sequence[Document]
 
 def prediction_instances(model: RelationModel, view: DocView, sent_idx: int,
                          mentions: Sequence[SpanMention]) -> List[RelationInstance]:
-    """Every chemical-gene pair of one sentence's mentions, as an instance.
-
-    A sentence too long for ``max_len`` once markers and ``[CLS]`` are added
-    raises `OverLengthError` naming the document and the sentence.
-    """
+    """Every chemical-gene pair of one sentence's mentions, as an instance."""
     surfaces = [t.surface for t in view.tokens[sent_idx]]
     left, right = view.context(sent_idx)
     sent_id = view.sentences[sent_idx].sent_id
-    try:
-        return [model.build_instance(view.doc.doc_id, sent_id, surfaces, left, right,
-                                     chem, gene)
-                for chem, gene in generate_pairs(mentions)]
-    except OverLengthError as exc:
-        raise OverLengthError(
-            f"document {view.doc.doc_id!r} sentence {sent_id}: {len(surfaces)} tokens "
-            f"+ 4 markers + {CLS_SYMBOL} exceed max_len={model.config.encoder.max_len}; "
-            "a relation instance needs 5 symbols more than NER, and context can shrink, "
-            "the sentence cannot") from exc
+    return [model.build_instance(view.doc.doc_id, sent_id, surfaces, left, right, chem, gene)
+            for chem, gene in generate_pairs(mentions)]
 
 
 def train_re(model: RelationModel, instances: Sequence[RelationInstance],

@@ -1,12 +1,14 @@
 """The summary that tools/bench_pairs.py writes, on hand-written samples.
 
 No benchmark runs here: only the pure parsing and summarising functions are
-exercised.
+exercised, and the commit a record names, on a throwaway git repository.
 """
 
 import argparse
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -179,3 +181,29 @@ def test_runs_without_a_result_count_as_failed_runs():
     summary = bench_pairs.summarize(pairs, {"t": "lower"})["t"]
     assert summary["failed_runs"] == {"parent": 0, "change": 1}
     assert summary["gain"] is False
+
+
+def git(repo, *args) -> str:
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_head_names_a_commit_only_when_src_is_committed(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "one")
+    sha = git(tmp_path, "rev-parse", "HEAD")
+    assert bench_pairs.git_head(tmp_path) == sha
+    (tmp_path / "notes.txt").write_text("not code\n")
+    assert bench_pairs.git_head(tmp_path) == sha
+    (src / "a.py").write_text("x = 2\n")
+    assert bench_pairs.git_head(tmp_path) is None
+    git(tmp_path, "checkout", "-q", "--", "src/a.py")
+    assert bench_pairs.git_head(tmp_path) == sha
+    (src / "b.py").write_text("")
+    assert bench_pairs.git_head(tmp_path) is None

@@ -1,10 +1,13 @@
 """Corpus loading, segmentation, correction, and round-trip tests."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import first_uncovered_offset
 
+import chemspan
 from chemspan.corpus import (
     Document,
     GoldEntity,
@@ -393,3 +396,26 @@ def test_line_numbers_count_every_line_ending(tmp_path):
     data = b"a\tb\r\n\r\nc\td\re\n"
     rows = list(read_tsv("x.tsv", 1, 2, data=data))
     assert rows == [(1, ["a", "b"]), (3, ["c", "d"]), (4, ["e"])]
+
+
+def test_load_counts_are_the_rows_kept_per_file(tmp_path):
+    micro = Path(chemspan.__file__).parent / "data" / "micro"
+    files = [micro / name for name in ("abstracts.tsv", "entities.tsv", "relations.tsv")]
+    _, diags = load_corpus_with_diagnostics(*files)
+    assert diags.line_counts == dict(zip(map(str, files), (10, 84, 38)))
+
+    abstracts, entities, _ = small_corpus(tmp_path)
+    with open(abstracts, "a", encoding="utf-8") as fh:
+        fh.write(f"d2\t{TITLE}\t{ABSTRACT}\n")
+    relations = write(tmp_path / "relations.tsv", [
+        ("d1", "CPR:4", "Y", "T3", "T4"),
+        ("d1", "CPR:3", "Y", "T1", "T2"),
+        ("d1", "CPR:4", "Y", "T3", "T4"),  # a duplicate: dropped, so not counted
+    ])
+    sentences = tmp_path / "sentences.tsv"  # blank lines hold no row
+    sentences.write_text("d1\t0\t18\n\nd1\t19\t51\nd1\t52\t69\n\nd2\t0\t69\n", encoding="utf-8")
+    docs, diags = load_corpus_with_diagnostics(abstracts, entities, relations, sentences)
+    assert diags.duplicate_relations == [("d1", "CPR:4", "T3", "T4")]
+    assert [len(doc.sentence_boundaries) for doc in docs] == [3, 1]
+    assert diags.line_counts == {str(abstracts): 2, str(entities): 4, str(relations): 2,
+                                 str(sentences): 4}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chemspan.config import EncoderConfig, PipelineConfig, RelationConfig
 from chemspan.corpus import Document, GoldEntity, GoldRelation
 from chemspan.encoder import OBJ_CLOSE, OBJ_OPEN, SUBJ_CLOSE, SUBJ_OPEN, grad_check
+from chemspan.errors import OverLengthError
 from chemspan.alignment import DocView
 from chemspan.ner import NerModel, SpanMention
 from chemspan.relation import (
@@ -273,6 +274,22 @@ def test_context_stays_outside_the_markers():
     assert "left1" not in marked_zone
     assert "right1" not in marked_zone
     assert len(strip_markers(inst.symbols)) == 1 + 2 + 3  # cls + sentence + context
+
+
+def test_build_instance_refuses_an_over_long_sentence_by_name():
+    cfg = small_config()
+    cfg.encoder.max_len = 9
+    model = RelationModel(cfg, seed=0)
+    fits = model.build_instance("d", 3, list("abcd"), ["left"], [], mention(0, 0),
+                                mention(3, 3, "GENE"))
+    assert len(fits.symbols) == 9  # [CLS], 4 markers, 4 tokens; no room for context
+    with pytest.raises(OverLengthError) as caught:
+        model.build_instance("doc7", 3, list("abcde"), [], [], mention(0, 0),
+                             mention(4, 4, "GENE"))
+    assert str(caught.value) == (
+        "document 'doc7' sentence 3: 5 tokens + 4 markers + [CLS] exceed max_len=9; "
+        "a relation instance needs 5 symbols more than NER, and context can shrink, "
+        "the sentence cannot")
 
 
 def test_representation_gradients_match_finite_differences():

@@ -1,6 +1,7 @@
 """The verdict that tools/train_parity.py writes, on hand-written records.
 
-No training runs here: only the pure comparison is exercised.
+No training runs here: only the pure comparison, the digests of a run's
+outputs and the order of the CLI runs are exercised.
 """
 
 import copy
@@ -72,3 +73,71 @@ def test_no_seeds_or_no_checkpoints_is_not_bitwise():
     assert train_parity.compare(empty, copy.deepcopy(empty))["bitwise"] is False
     no_checkpoints = dict(copy.deepcopy(RUN), checkpoints={})
     assert train_parity.compare(no_checkpoints, copy.deepcopy(no_checkpoints))["bitwise"] is False
+
+
+def cli_run(stderr="e3b0", **outputs):
+    return {"exit": 0, "stdout": "5d41", "stderr": stderr, "outputs": outputs}
+
+
+RUN_WITH_CLI = dict(copy.deepcopy(RUN), cli={
+    "predict-ner": cli_run(**{"ner.tsv": "aa11"}),
+    "train-ner over max_len": dict(cli_run("9f86"), exit=2, outputs={"short-ner.ckpt": None}),
+})
+
+
+def test_a_record_without_cli_runs_has_no_cli_verdict():
+    assert "cli" not in train_parity.compare(RUN, copy.deepcopy(RUN))
+
+
+def test_equal_cli_runs_are_bitwise():
+    verdict = train_parity.compare(RUN_WITH_CLI, copy.deepcopy(RUN_WITH_CLI))
+    assert verdict == {"seeds": {"0": True, "1": True}, "checkpoints": True, "cli": True,
+                       "bitwise": True}
+
+
+def test_a_cli_run_that_differs_in_stderr_exit_or_an_output_is_not_bitwise():
+    for edit in (lambda cli: cli["train-ner over max_len"].update(stderr="9f87"),
+                 lambda cli: cli["train-ner over max_len"].update(exit=1),
+                 lambda cli: cli["predict-ner"]["outputs"].update({"ner.tsv": "aa12"}),
+                 lambda cli: cli["predict-ner"]["outputs"].update({"extra.tsv": "bb"}),
+                 lambda cli: cli.pop("predict-ner")):
+        change = copy.deepcopy(RUN_WITH_CLI)
+        edit(change["cli"])
+        verdict = train_parity.compare(RUN_WITH_CLI, change)
+        assert verdict["seeds"] == {"0": True, "1": True} and verdict["checkpoints"] is True
+        assert verdict["cli"] is False and verdict["bitwise"] is False
+
+
+def test_cli_runs_on_one_side_only_are_not_bitwise():
+    for parent, change in ((RUN, RUN_WITH_CLI), (RUN_WITH_CLI, RUN)):
+        verdict = train_parity.compare(parent, copy.deepcopy(change))
+        assert verdict["cli"] is False and verdict["bitwise"] is False
+
+
+def test_a_checkpoint_neither_side_wrote_is_not_bitwise():
+    parent = dict(copy.deepcopy(RUN), checkpoints={"train-ner": None, "train-re": "7e20"})
+    verdict = train_parity.compare(parent, copy.deepcopy(parent))
+    assert verdict["checkpoints"] is False and verdict["bitwise"] is False
+
+
+def test_output_digests_cover_files_directories_and_missing_outputs(tmp_path):
+    (tmp_path / "a.tsv").write_bytes(b"x\n")
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    (tmp_path / "out" / "report.txt").write_bytes(b"")
+    (tmp_path / "out" / "sub" / "items.tsv").write_bytes(b"x\n")
+    digest = train_parity.sha256(b"x\n")
+    assert train_parity.output_digests(tmp_path, ["a.tsv", "out", "missing.ckpt"]) == {
+        "a.tsv": digest, "out/report.txt": train_parity.sha256(b""),
+        "out/sub/items.tsv": digest, "missing.ckpt": None}
+
+
+def test_every_file_a_cli_run_reads_was_written_by_an_earlier_run():
+    written = {"micro", "short.json"}
+    for name, arguments, outputs in train_parity.CLI_RUNS:
+        read = {value for option, value in zip(arguments, arguments[1:])
+                if option.startswith("--") and not option.startswith("--out")
+                and option not in ("--seed", "--task", "--report")}
+        assert read <= written, (name, read - written)
+        written.update(outputs)
+    names = [name for name, _, _ in train_parity.CLI_RUNS]
+    assert len(set(names)) == len(names)

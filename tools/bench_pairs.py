@@ -130,9 +130,15 @@ def source_digest(checkout: Path) -> str:
 
 
 def git_head(checkout: Path) -> Optional[str]:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    """The checkout's commit, or None when there is none or when ``src`` holds a change
+    or an untracked file the commit lacks, so a record names a commit only for its code."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    dirty = subprocess.run(git + ["status", "--porcelain", "--", "src"],
+                           capture_output=True, text=True)
+    if head.returncode or dirty.returncode or dirty.stdout.strip():
+        return None
+    return head.stdout.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -6,18 +6,28 @@
 In each checkout, with ``OPENBLAS_NUM_THREADS=1`` and that checkout's
 ``src`` on ``PYTHONPATH``, one child process trains the default config's
 NER and RE models on the shipped micro corpus at seeds 0-4 and reports each
-per-epoch loss curve and the sha256 of every parameter array; then
-``chemspan train-ner`` and ``chemspan train-re`` write their seed-1
-checkpoints, whose sha256 are kept. A seed's verdict is ``bitwise`` when
-both curves are ``==`` and every array digest is equal; the checkpoints'
-verdict is equality of both digests. The record also names each checkout's
-commit and source digest. numpy and the standard library only.
+per-epoch loss curve and the sha256 of every parameter array. Then, in a
+scratch directory holding a copy of the micro corpus and with
+``PYTHONHASHSEED=0``, the CLI runs the commands of ``CLI_RUNS``:
+``train-ner`` and ``train-re`` write their seed-1 checkpoints, every
+predict command, ``align-stats``, ``score`` and ``analyze`` read them, and
+two trainings stop on a sentence over ``max_len``. Each run keeps its exit
+code and the sha256 of its stdout, its stderr and every file it writes;
+every path is relative to the scratch directory, so no output names it.
+
+A seed's verdict is ``bitwise`` when both curves are ``==`` and every array
+digest is equal; the checkpoints' verdict is equality of both digests, and
+the CLI's is equality of every run. A record written before the CLI runs
+were kept has no ``cli`` key and is compared as before. The record also
+names each checkout's commit and source digest. numpy and the standard
+library only.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -57,40 +67,98 @@ print(json.dumps(out))
 """
 
 CLI = "import sys; from chemspan.cli import main; sys.exit(main(sys.argv[1:]))"
+# every sentence of micro is longer than this, with or without relation markers
+SHORT_CONFIG = {"encoder": {"max_len": 4}}
+
+# name, CLI arguments and the files or directories it writes, in run order
+CLI_RUNS = (
+    *((f"train-{task}", [f"train-{task}", "--corpus", "micro", "--seed", str(CHECKPOINT_SEED),
+                         "--out", f"{task}.ckpt"], [f"{task}.ckpt"]) for task in TASKS),
+    ("predict-ner", ["predict-ner", "--ckpt", "ner.ckpt", "--corpus", "micro",
+                     "--out", "ner.tsv"], ["ner.tsv"]),
+    ("predict-re", ["predict-re", "--ckpt", "re.ckpt", "--corpus", "micro",
+                    "--out", "re.tsv"], ["re.tsv"]),
+    ("predict-e2e", ["predict-e2e", "--ner-ckpt", "ner.ckpt", "--re-ckpt", "re.ckpt",
+                     "--corpus", "micro", "--out-rels", "rels.tsv", "--out-ents", "ents.tsv"],
+     ["rels.tsv", "ents.tsv"]),
+    ("align-stats", ["align-stats", "--corpus", "micro", "--report", "loss.txt"],
+     ["loss.txt", "loss.txt.items.tsv"]),
+    ("score-ner", ["score", "--gold", "micro", "--pred", "ner.tsv", "--task", "ner",
+                   "--out", "score-ner.json"], ["score-ner.json"]),
+    ("score-re", ["score", "--gold", "micro", "--pred", "rels.tsv", "--task", "re",
+                  "--loss-report", "loss.txt", "--out", "score-re.json"], ["score-re.json"]),
+    ("analyze", ["analyze", "--gold", "micro", "--pred-ents", "ents.tsv",
+                 "--pred-rels", "rels.tsv", "--out", "analysis"], ["analysis"]),
+    *((f"train-{task} over max_len", [f"train-{task}", "--corpus", "micro", "--config",
+                                      "short.json", "--out", f"short-{task}.ckpt"],
+       [f"short-{task}.ckpt"]) for task in TASKS),
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def output_digests(root: Path, outputs) -> dict:
+    """sha256 of each output file, every file of an output directory, and None for an
+    output that is missing; keyed by the path relative to ``root``."""
+    digests = {}
+    for name in outputs:
+        path = root / name
+        files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+        for file in files:
+            key = file.relative_to(root).as_posix()
+            digests[key] = sha256(file.read_bytes()) if file.exists() else None
+    return digests
+
+
+def run_cli(checkout: Path, env: dict) -> dict:
+    """Each run of ``CLI_RUNS`` in a scratch directory: exit code, and the sha256 of
+    stdout, stderr and each output."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(checkout / "src" / "chemspan" / "data" / "micro", root / "micro")
+        (root / "short.json").write_text(json.dumps(SHORT_CONFIG))
+        for name, arguments, outputs in CLI_RUNS:
+            done = subprocess.run([sys.executable, "-c", CLI, *arguments], cwd=root,
+                                  env=dict(env, PYTHONHASHSEED="0"), capture_output=True)
+            runs[name] = {"exit": done.returncode, "stdout": sha256(done.stdout),
+                          "stderr": sha256(done.stderr), "outputs": output_digests(root, outputs)}
+    return runs
 
 
 def train_checkout(checkout: Path) -> dict:
-    """One checkout's curves and parameter digests per seed, and its checkpoint digests."""
+    """One checkout's curves and parameter digests per seed, its checkpoint digests,
+    and its CLI runs."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-c", TRAIN, json.dumps(list(SEEDS))],
                           env=env, capture_output=True, text=True, check=True)
-    run = {"seeds": json.loads(done.stdout), "checkpoints": {}}
-    corpus = checkout / "src" / "chemspan" / "data" / "micro"
-    with tempfile.TemporaryDirectory() as tmp:
-        for task in TASKS:
-            command = f"train-{task}"
-            out = Path(tmp) / f"{task}.ckpt"
-            subprocess.run([sys.executable, "-c", CLI, command, "--corpus", str(corpus),
-                            "--seed", str(CHECKPOINT_SEED), "--out", str(out)],
-                           env=env, capture_output=True, check=True)
-            run["checkpoints"][command] = hashlib.sha256(out.read_bytes()).hexdigest()
-    return run
+    cli = run_cli(checkout, env)
+    return {"seeds": json.loads(done.stdout), "cli": cli,
+            "checkpoints": {f"train-{task}": cli[f"train-{task}"]["outputs"][f"{task}.ckpt"]
+                            for task in TASKS}}
 
 
 def compare(parent: dict, change: dict) -> dict:
     """Per seed, whether both tasks' curves and parameter digests are equal; whether
-    the checkpoint digests are; and ``bitwise``, all of it. A seed or checkpoint one
-    side lacks is not bitwise."""
+    the checkpoint digests are; whether the CLI runs are, when either record has
+    them; and ``bitwise``, all of it. A seed, checkpoint or CLI run one side lacks
+    is not bitwise, nor is a checkpoint neither side wrote."""
     seeds = {}
     for seed in sorted(set(parent["seeds"]) | set(change["seeds"]), key=int):
         sides = parent["seeds"].get(seed), change["seeds"].get(seed)
         seeds[seed] = None not in sides and all(
             sides[0][task]["curve"] == sides[1][task]["curve"]
             and sides[0][task]["params"] == sides[1][task]["params"] for task in TASKS)
-    checkpoints = (bool(parent["checkpoints"])
+    checkpoints = (bool(parent["checkpoints"]) and all(parent["checkpoints"].values())
                    and parent["checkpoints"] == change["checkpoints"])
-    return {"seeds": seeds, "checkpoints": checkpoints,
-            "bitwise": bool(seeds) and all(seeds.values()) and checkpoints}
+    verdict = {"seeds": seeds, "checkpoints": checkpoints}
+    if "cli" in parent or "cli" in change:
+        verdict["cli"] = bool(parent.get("cli")) and parent.get("cli") == change.get("cli")
+    verdict["bitwise"] = (bool(seeds) and all(seeds.values()) and checkpoints
+                          and verdict.get("cli", True))
+    return verdict
 
 
 def main(argv=None) -> int:
