@@ -30,11 +30,11 @@ CASES = 200
 def draw(rng: random.Random) -> PipelineConfig:
     return PipelineConfig(
         EncoderConfig(dim=rng.randint(1, 10), blocks=rng.randint(0, 3),
-                      ffn_dim=rng.randint(1, 20), buckets=rng.randint(1, 80),
+                      ffn_dim=rng.randint(1, 64), buckets=rng.randint(1, 80),
                       max_len=rng.randint(1, 80)),
         NerConfig(max_span_width=rng.randint(1, 24), width_dim=rng.choice([0, 0, 1, 3, 8])),
         RelationConfig(variant=rng.choice(sorted(_VARIANT_SEGMENTS)),
-                       head_hidden=rng.randint(1, 16)))
+                       head_hidden=rng.randint(1, 64)))
 
 
 def test_every_config_accepted_builds_models_within_the_limit(monkeypatch):

@@ -7,13 +7,13 @@ In each checkout, with ``OPENBLAS_NUM_THREADS=1`` and that checkout's
 ``src`` on ``PYTHONPATH``, one child process trains the default config's
 NER and RE models on the shipped micro corpus at seeds 0-4 and reports each
 per-epoch loss curve and the sha256 of every parameter array. Then, in a
-scratch directory holding a copy of the micro corpus and with
+temporary directory holding a copy of the micro corpus and with
 ``PYTHONHASHSEED=0``, the CLI runs the commands of ``CLI_RUNS``:
 ``train-ner`` and ``train-re`` write their seed-1 checkpoints, every
 predict command, ``align-stats``, ``score`` and ``analyze`` read them, and
 two trainings stop on a sentence over ``max_len``. Each run keeps its exit
 code and the sha256 of its stdout, its stderr and every file it writes;
-every path is relative to the scratch directory, so no output names it.
+every path is relative to the temporary directory, so no output names it.
 
 A seed's verdict is ``bitwise`` when both curves are ``==`` and every array
 digest is equal; the checkpoints' verdict is equality of both digests, and
@@ -113,7 +113,7 @@ def output_digests(root: Path, outputs) -> dict:
 
 
 def run_cli(checkout: Path, env: dict) -> dict:
-    """Each run of ``CLI_RUNS`` in a scratch directory: exit code, and the sha256 of
+    """Each run of ``CLI_RUNS`` in a temporary directory: exit code, and the sha256 of
     stdout, stderr and each output."""
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
