@@ -142,8 +142,15 @@ def _load_model(path, expected_kind: str):
     return model
 
 
-def save_ner_model(path, model) -> None:
+def _save_model(path, model, expected_kind: str) -> None:
+    if not isinstance(model, KINDS[expected_kind]):
+        kind = next((k for k, cls in KINDS.items() if isinstance(model, cls)), None)
+        raise CheckpointError(f"{path}: model is a {kind!r} model, expected {expected_kind!r}")
     Path(path).write_bytes(model_bytes(model))
+
+
+def save_ner_model(path, model) -> None:
+    _save_model(path, model, "ner")
 
 
 def load_ner_model(path):
@@ -151,7 +158,7 @@ def load_ner_model(path):
 
 
 def save_re_model(path, model) -> None:
-    Path(path).write_bytes(model_bytes(model))
+    _save_model(path, model, "re")
 
 
 def load_re_model(path):

@@ -269,23 +269,47 @@ class Adam:
 
     An array may be a flat buffer whose views are many parameters, as
     `EncoderModel` packs them. Each pass runs the plain expression's
-    operations in its order into two scratch arrays made once, so it is
-    bitwise that expression. ``step``'s optional ``rows`` maps a name to the
-    rows of it to step (an index array or a slice), as
-    `TinyEncoder.touched_rows` gives; other arrays are stepped whole. A row
-    left out must never have had a gradient, so that its update would be
-    exactly 0 and the step is bitwise a dense one; a row that has had one is
-    stepped even when it gets none.
+    operations in its order into two scratch arrays, sized to the largest
+    selection stepped so far, so it is bitwise that expression. ``step``'s
+    optional ``rows`` maps a name to the rows of it to step (an index array
+    or a slice), as `TinyEncoder.touched_rows` gives; other arrays are
+    stepped whole. A row left out must never have had a gradient, so that
+    its update would be exactly 0 and the step is bitwise a dense one; a row
+    that has had one is stepped even when it gets none.
+
+    ``m`` and ``v`` hold no row before an array's first step. An array
+    stepped at index arrays keeps them only at the rows in ``held[name]``,
+    in that order: rows that join start at zero, and a selection that leaves
+    out a held row raises ValueError. A slice makes them dense, every held
+    value kept, and ``held[name]`` None.
     """
 
     def __init__(self, params: Params, lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        size = max((v.size for v in params.values()), default=0)
-        self._scratch = np.empty(size), np.empty(size)
+        self.held = {k: np.zeros(0, np.int64) for k in params}
+        self.m = {k: np.zeros((0,) + v.shape[1:]) for k, v in params.items()}
+        self.v = {k: np.zeros((0,) + v.shape[1:]) for k, v in params.items()}
+        self._scratch = np.empty(0), np.empty(0)
+
+    def _moments(self, key: str, sel):
+        """``m`` and ``v`` of ``key`` at ``sel``: the store itself when it holds exactly ``sel``."""
+        held, m, v = self.held[key], self.m[key], self.v[key]
+        if held is not None and isinstance(sel, slice):  # turn dense, keeping the held rows
+            self.held[key] = None
+            self.m[key], self.v[key] = (np.zeros(self.params[key].shape) for _ in "mv")
+            self.m[key][held], self.v[key][held] = m, v
+        elif held is not None and not np.array_equal(sel, held):  # lay the store out at sel
+            common, at, was = np.intersect1d(sel, held, assume_unique=True, return_indices=True)
+            if len(common) < len(held):
+                raise ValueError(f"Adam.step: rows of {key} that hold moments were left out")
+            self.held[key] = np.array(sel)
+            self.m[key], self.v[key] = (np.zeros((len(sel),) + m.shape[1:]) for _ in "mv")
+            self.m[key][at], self.v[key][at] = m[was], v[was]
+        if self.held[key] is None:
+            return self.m[key][sel], self.v[key][sel]
+        return self.m[key], self.v[key]
 
     def step(self, grads: Params, rows: Optional[Dict[str, object]] = None) -> None:
         self.t += 1
@@ -294,7 +318,10 @@ class Adam:
         rows = rows or {}
         for key, p_all in self.params.items():
             sel = rows.get(key, slice(None))
-            p, g, m, v = p_all[sel], grads[key][sel], self.m[key][sel], self.v[key][sel]
+            m, v = self._moments(key, sel)
+            p, g = p_all[sel], grads[key][sel]
+            if self._scratch[0].size < g.size:
+                self._scratch = np.empty(g.size), np.empty(g.size)
             a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
             # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), products' operands swapped
@@ -305,7 +332,9 @@ class Adam:
             np.add(np.sqrt(np.divide(v, b2c, out=a), out=a), _ADAM_EPS, out=a)
             p -= np.divide(np.multiply(np.divide(m, b1c, out=b), self.lr, out=b), a, out=b)
             if not isinstance(sel, slice):  # an index array gathered copies
-                p_all[sel], self.m[key][sel], self.v[key][sel] = p, m, v
+                p_all[sel] = p
+                if self.held[key] is None:
+                    self.m[key][sel], self.v[key][sel] = m, v
 
 
 LOOSE = ("tok_emb", "pos_emb")  # stepped at their touched rows; every other array is packed
@@ -404,6 +433,7 @@ class EncoderModel:
                 epoch_loss += loss * n
                 total += n
                 opt.step(self._segments(grads), self.encoder.touched_rows)
+                del grads  # so that the next batch's gradients are the only set held
             curve.append(epoch_loss / max(total, 1))
         if not all(np.isfinite(segment).all() for segment in segments.values()):
             name = next(k for k, v in self.parameters().items() if not np.isfinite(v).all())

@@ -237,3 +237,15 @@ def test_a_seed_the_header_cannot_hold_leaves_no_file(tmp_path):
     with pytest.raises(struct.error):
         save_checkpoint(path, "ner", 8, 1, 2 ** 63, model.config.to_dict(), model.parameters())
     assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", ["ner", "re"])
+def test_saving_a_model_of_the_other_kind_is_refused(tmp_path, kind):
+    save, model, other = ((save_ner_model, RelationModel(tiny_cfg(), seed=0), "re")
+                          if kind == "ner" else
+                          (save_re_model, NerModel(tiny_cfg(), seed=0), "ner"))
+    path = tmp_path / "wrong.ckpt"
+    with pytest.raises(CheckpointError,
+                       match=f"model is a '{other}' model, expected '{kind}'"):
+        save(path, model)
+    assert not path.exists()

@@ -40,18 +40,39 @@ SCHEDULES = {
     "two-surfaces-one-bucket": lambda t: ([colliding_surfaces()[t % 2], "+"], []),
     "positions-grow": lambda t: (["Na", "+", "K"] * (1 + t // 6), []),
     "most-buckets-hashed": lambda t: ([f"w{i}" for i in range(12)], []),
+    # new rows join the compact moments after several steps, one only encoded
+    "rows-join-late": lambda t: (["Na", "+"] + (["K"] if t >= 4 else [])
+                                 + (["late", "Cl"] if t >= 10 else []),
+                                 ["seen"] if t >= 7 else []),
+    # the table turns whole after several steps at its rows
+    "table-fills-late": lambda t: (["w0", "w1"] if t < 5 else [f"w{i}" for i in range(12)], []),
 }
+
+
+def assert_moments_equal(opt, ref, key):
+    """Adam's moments of ``key`` equal the dense oracle's: at every row when they are
+    dense; at the held rows otherwise, where the oracle holds zero at every other row."""
+    held = opt.held[key]
+    for mine, want in ((opt.m[key], ref.m[key]), (opt.v[key], ref.v[key])):
+        if held is None:
+            np.testing.assert_array_equal(mine, want, err_msg=key)
+            continue
+        np.testing.assert_array_equal(mine, want[held], err_msg=key)
+        outside = np.ones(len(want), dtype=bool)
+        outside[held] = False
+        assert not want[outside].any(), key
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_touched_row_adam_equals_dense_adam_every_step(schedule):
-    assert distinct_buckets(["once", "Na", "+", "K", "seen"])
+    assert distinct_buckets(["once", "Na", "+", "K", "seen", "late", "Cl"])
+    assert distinct_buckets(["w0", "w1"])
     enc = TinyEncoder(dim=4, blocks=1, ffn_dim=8, buckets=BUCKETS, max_len=15, seed=0)
     initial = {k: v.copy() for k, v in enc.params.items()}
     opt = Adam(enc.params, lr=0.05)
     ref = DenseAdam({k: v.copy() for k, v in enc.params.items()}, lr=0.05)
     rng = np.random.default_rng(0)
-    history = []
+    history, held = [], []
     for t in range(STEPS):
         trained, encoded_only = SCHEDULES[schedule](t)
         enc.encode(encoded_only)
@@ -62,15 +83,21 @@ def test_touched_row_adam_equals_dense_adam_every_step(schedule):
         ref.step(grads)
         for key in enc.params:
             np.testing.assert_array_equal(enc.params[key], ref.params[key], err_msg=key)
-            np.testing.assert_array_equal(opt.m[key], ref.m[key], err_msg=key)
-            np.testing.assert_array_equal(opt.v[key], ref.v[key], err_msg=key)
+            assert_moments_equal(opt, ref, key)
         history.append(enc.params["tok_emb"].copy())
+        held.append(opt.held["tok_emb"])
 
     tok_rows = enc.touched_rows["tok_emb"]
-    if schedule == "most-buckets-hashed":
-        assert tok_rows == slice(None)
+    assert opt.held["pos_emb"] is None
+    if schedule in ("most-buckets-hashed", "table-fills-late"):
+        assert tok_rows == slice(None) and held[-1] is None
     else:
         assert isinstance(tok_rows, np.ndarray) and len(tok_rows) < BUCKETS
+        np.testing.assert_array_equal(held[-1], tok_rows)
+    if schedule == "rows-join-late":
+        assert [len(held[t]) for t in (3, 4, 7, 10)] == [2, 3, 4, 6]
+    if schedule == "table-fills-late":
+        assert len(held[4]) == 2 and held[5] is None
     if schedule == "gradient-only-at-step-1":
         row = surface_bucket("once", BUCKETS)
         assert not np.array_equal(history[1][row], history[-1][row])  # m and v still decay
@@ -78,9 +105,21 @@ def test_touched_row_adam_equals_dense_adam_every_step(schedule):
         row = surface_bucket("seen", BUCKETS)
         assert row in tok_rows
         np.testing.assert_array_equal(enc.params["tok_emb"][row], initial["tok_emb"][row])
-        assert not opt.m["tok_emb"][row].any() and not opt.v["tok_emb"][row].any()
+        at = list(opt.held["tok_emb"]).index(row)
+        assert not opt.m["tok_emb"][at].any() and not opt.v["tok_emb"][at].any()
     if schedule == "positions-grow":
         assert enc.touched_rows["pos_emb"] == slice(0, 15)
+
+
+def test_a_step_that_leaves_out_a_row_holding_moments_raises():
+    table = np.arange(12.0).reshape(6, 2)
+    opt = Adam({"t": table}, lr=0.1)
+    grads = {"t": np.ones((6, 2))}
+    opt.step(grads, {"t": np.array([1, 3])})
+    opt.step(grads, {"t": np.array([1, 3, 4])})
+    np.testing.assert_array_equal(opt.held["t"], [1, 3, 4])
+    with pytest.raises(ValueError, match="rows of t that hold moments were left out"):
+        opt.step(grads, {"t": np.array([1, 4])})
 
 
 def train_three_epochs(task, seed):

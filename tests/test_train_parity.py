@@ -1,7 +1,8 @@
 """The verdict that tools/train_parity.py writes, on hand-written records.
 
 No training runs here: only the pure comparison, the digests of a run's
-outputs and the order of the CLI runs are exercised.
+outputs, the order of the CLI runs and the report of traced training peaks
+are exercised.
 """
 
 import copy
@@ -141,3 +142,25 @@ def test_every_file_a_cli_run_reads_was_written_by_an_earlier_run():
         written.update(outputs)
     names = [name for name, _, _ in train_parity.CLI_RUNS]
     assert len(set(names)) == len(names)
+
+
+def with_peak(run, ner, re_, table=1_000_000):
+    return dict(copy.deepcopy(run), training_peak={"seed": 0, "ner": ner, "re": re_,
+                                                   "table_bytes": table})
+
+
+def test_training_peaks_are_reported_and_never_compared():
+    parent, change = with_peak(RUN, 8_600_000, 6_100_000), with_peak(RUN, 5_200_000, 1_000_000)
+    for sides in ((parent, change), (RUN, change), (parent, RUN)):
+        assert train_parity.compare(*sides) == train_parity.compare(RUN, RUN)
+    assert train_parity.peak_lines({"parent": parent, "change": change}) == [
+        "ner training peak: parent 8.60 MB (8.60 tables), change 5.20 MB (5.20 tables)",
+        "re training peak: parent 6.10 MB (6.10 tables), change 1.00 MB (1.00 tables)"]
+
+
+def test_a_record_without_training_peaks_reports_them_as_not_recorded():
+    lines = train_parity.peak_lines({"parent": RUN, "change": with_peak(RUN, 2_500_000, 500_000,
+                                                                         table=2_000_000)})
+    assert lines == [
+        "ner training peak: parent not recorded, change 2.50 MB (1.25 tables)",
+        "re training peak: parent not recorded, change 0.50 MB (0.25 tables)"]

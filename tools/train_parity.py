@@ -6,7 +6,10 @@
 In each checkout, with ``OPENBLAS_NUM_THREADS=1`` and that checkout's
 ``src`` on ``PYTHONPATH``, one child process trains the default config's
 NER and RE models on the shipped micro corpus at seeds 0-4 and reports each
-per-epoch loss curve and the sha256 of every parameter array. Then, in a
+per-epoch loss curve and the sha256 of every parameter array. At
+``TRACED_SEED`` it also reports the ``tracemalloc`` peak of each task's
+training, traced from after the model and its items are built, and the
+bucket table's bytes; these figures are reported, never compared. Then, in a
 temporary directory holding a copy of the micro corpus and with
 ``PYTHONHASHSEED=0``, the CLI runs the commands of ``CLI_RUNS``:
 ``train-ner`` and ``train-re`` write their seed-1 checkpoints, every
@@ -38,11 +41,12 @@ from bench_pairs import SIDES, git_head, source_digest  # noqa: E402
 
 SEEDS = (0, 1, 2, 3, 4)
 CHECKPOINT_SEED = 1
+TRACED_SEED = 0
 TASKS = ("ner", "re")
 
 # run in a child process inside one checkout; prints one JSON object
 TRAIN = """
-import hashlib, json, sys
+import hashlib, json, sys, tracemalloc
 import numpy as np
 from chemspan.config import PipelineConfig
 from chemspan.microcorpus import load_micro_corpus
@@ -54,16 +58,28 @@ def digests(model):
                               + repr(v.shape).encode()).hexdigest()
             for k, v in sorted(model.parameters().items())}
 
+def trained(train, model, items, seed, peaks, task):
+    if seed != traced_seed:
+        return train(model, items, seed=seed)
+    tracemalloc.start()
+    curve = train(model, items, seed=seed)
+    peaks[task] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    peaks["table_bytes"] = model.encoder.params["tok_emb"].nbytes
+    return curve
+
 docs = load_micro_corpus()
-out = {}
+traced_seed = json.loads(sys.argv[2])
+out, peaks = {}, {"seed": traced_seed}
 for seed in json.loads(sys.argv[1]):
     ner = NerModel(PipelineConfig(), seed=seed)
-    ner_curve = train_ner(ner, ner.prepare_documents(docs), seed=seed)
+    ner_curve = trained(train_ner, ner, ner.prepare_documents(docs), seed, peaks, "ner")
     re_model = RelationModel(PipelineConfig(), seed=seed)
-    re_curve = train_re(re_model, gold_training_instances(re_model, docs), seed=seed)
+    re_curve = trained(train_re, re_model, gold_training_instances(re_model, docs), seed,
+                       peaks, "re")
     out[str(seed)] = {"ner": {"curve": ner_curve, "params": digests(ner)},
                       "re": {"curve": re_curve, "params": digests(re_model)}}
-print(json.dumps(out))
+print(json.dumps({"seeds": out, "training_peak": peaks}))
 """
 
 CLI = "import sys; from chemspan.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -129,13 +145,14 @@ def run_cli(checkout: Path, env: dict) -> dict:
 
 
 def train_checkout(checkout: Path) -> dict:
-    """One checkout's curves and parameter digests per seed, its checkpoint digests,
-    and its CLI runs."""
+    """One checkout's curves and parameter digests per seed, its traced training
+    peaks, its checkpoint digests, and its CLI runs."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-c", TRAIN, json.dumps(list(SEEDS))],
+    done = subprocess.run([sys.executable, "-c", TRAIN, json.dumps(list(SEEDS)),
+                           json.dumps(TRACED_SEED)],
                           env=env, capture_output=True, text=True, check=True)
     cli = run_cli(checkout, env)
-    return {"seeds": json.loads(done.stdout), "cli": cli,
+    return {**json.loads(done.stdout), "cli": cli,
             "checkpoints": {f"train-{task}": cli[f"train-{task}"]["outputs"][f"{task}.ckpt"]
                             for task in TASKS}}
 
@@ -161,6 +178,21 @@ def compare(parent: dict, change: dict) -> dict:
     return verdict
 
 
+def peak_lines(runs: dict) -> list:
+    """One line per task giving each side's traced training peak in MB and in tables,
+    or that a side's record has none; nothing is compared."""
+    lines = []
+    for task in TASKS:
+        figures = []
+        for side in SIDES:
+            peak = runs[side].get("training_peak")
+            figures.append(f"{side} " + (
+                f"{peak[task] / 1e6:.2f} MB ({peak[task] / peak['table_bytes']:.2f} tables)"
+                if peak else "not recorded"))
+        lines.append(f"{task} training peak: " + ", ".join(figures))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -179,6 +211,8 @@ def main(argv=None) -> int:
         "verdict": compare(runs["parent"], runs["change"]),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for line in peak_lines(runs):
+        print(line, file=sys.stderr)
     print(f"bitwise: {record['verdict']['bitwise']}", file=sys.stderr)
     return 0 if record["verdict"]["bitwise"] else 1
 
