@@ -7,12 +7,15 @@ represented by any token span; they and every relation touching them are
 counted here once, up front, so downstream recall denominators stay honest.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import Document, GoldEntity, Sentence, _ints, read_tsv, segment
-from .tokenizer import Token, tokenize_sentence
+from .tokenizer import Token, token_offsets
 
 REASON_UNALIGNABLE = "unalignable"
 REASON_CROSS_SENTENCE = "cross-sentence"
@@ -37,55 +40,67 @@ def align_entity(entity: GoldEntity, tokens: Sequence[Token]) -> AlignedEntity:
     aligned span is minimal: the unique token starting at char_start through
     the first token ending at char_end.
     """
-    start_idx = None
-    for i, tok in enumerate(tokens):
-        if tok.char_start == entity.char_start:
-            start_idx = i
-            break
-        if tok.char_start > entity.char_start:
-            break
-    if start_idx is None:
-        return AlignedEntity(entity.entity_id, entity.etype, False, reason=REASON_UNALIGNABLE)
-    for j in range(start_idx, len(tokens)):
-        if tokens[j].char_end == entity.char_end:
-            return AlignedEntity(entity.entity_id, entity.etype, True, start_idx, j)
-        if tokens[j].char_end > entity.char_end:
-            break
+    return _align(entity, [(t.char_start, t.char_end) for t in tokens])
+
+
+def _align(entity: GoldEntity, offsets: Sequence[Tuple[int, int]]) -> AlignedEntity:
+    """`align_entity` over the sentence's ordered ``(char_start, char_end)`` pairs; the
+    first token is found by bisection."""
+    start_idx = bisect_left(offsets, (entity.char_start,))
+    if start_idx < len(offsets) and offsets[start_idx][0] == entity.char_start:
+        for j in range(start_idx, len(offsets)):
+            if offsets[j][1] == entity.char_end:
+                return AlignedEntity(entity.entity_id, entity.etype, True, start_idx, j)
+            if offsets[j][1] > entity.char_end:
+                break
     return AlignedEntity(entity.entity_id, entity.etype, False, reason=REASON_UNALIGNABLE)
 
 
 @dataclass
 class DocView:
-    """A document with its segmentation and per-sentence tokens precomputed.
+    """A document with its segmentation and per-sentence token offsets precomputed.
 
-    flat_surfaces concatenates every sentence's token surfaces in document
-    order; sent_flat_start[k] is where sentence k begins in that flat list,
-    which is what the context windowing code slices against.
+    offsets[k] holds the document-absolute ``(char_start, char_end)`` pair of
+    each token of sentence k. flat_surfaces concatenates every sentence's
+    token surfaces in document order; sent_flat_start[k] is where sentence k
+    begins in that flat list, which is what the context windowing code
+    slices against.
     """
 
     doc: Document
     sentences: List[Sentence]
-    tokens: List[List[Token]]  # per sentence
+    offsets: List[List[Tuple[int, int]]]  # per sentence
     flat_surfaces: List[str]
     sent_flat_start: List[int]
 
     @classmethod
     def build(cls, doc: Document) -> "DocView":
         sentences = segment(doc)
-        tokens = [tokenize_sentence(doc, s) for s in sentences]
-        flat = [t.surface for toks in tokens for t in toks]
-        return cls(doc, sentences, tokens, flat, list(accumulate(map(len, tokens), initial=0))[:-1])
+        text = doc.text
+        offsets = [token_offsets(text, s.char_start, s.char_end) for s in sentences]
+        flat = [text[a:b] for pairs in offsets for a, b in pairs]
+        return cls(doc, sentences, offsets, flat,
+                   list(accumulate(map(len, offsets), initial=0))[:-1])
+
+    @cached_property
+    def tokens(self) -> List[List[Token]]:
+        """Per sentence `Token` objects, built from the offsets on first access."""
+        return [[Token(i, self.flat_surfaces[lo + i], a, b) for i, (a, b) in enumerate(pairs)]
+                for lo, pairs in zip(self.sent_flat_start, self.offsets)]
 
     def sentence_of_entity(self, entity: GoldEntity) -> Optional[int]:
-        for k, s in enumerate(self.sentences):
-            if s.char_start <= entity.char_start and entity.char_end <= s.char_end:
-                return k
+        """The sentence holding the whole (non-empty) entity, or None when it crosses a
+        boundary or lies in a gap; sentences are sorted and disjoint, so only the last one
+        starting at or before the entity can hold it."""
+        k = bisect_right(self.sentences, entity.char_start, key=attrgetter("char_start")) - 1
+        if k >= 0 and entity.char_end <= self.sentences[k].char_end:
+            return k
         return None
 
     def context(self, sent_idx: int) -> Tuple[List[str], List[str]]:
         """Token surfaces before and after sentence ``sent_idx``, in order."""
         lo = self.sent_flat_start[sent_idx]
-        hi = lo + len(self.tokens[sent_idx])
+        hi = lo + len(self.offsets[sent_idx])
         return self.flat_surfaces[:lo], self.flat_surfaces[hi:]
 
 
@@ -134,7 +149,7 @@ def align_document(view: DocView) -> Dict[str, Tuple[Optional[int], AlignedEntit
             out[entity.entity_id] = (None, AlignedEntity(
                 entity.entity_id, entity.etype, False, reason=REASON_CROSS_SENTENCE))
         else:
-            out[entity.entity_id] = (k, align_entity(entity, view.tokens[k]))
+            out[entity.entity_id] = (k, _align(entity, view.offsets[k]))
     return out
 
 

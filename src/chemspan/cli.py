@@ -200,16 +200,16 @@ def _parse_entity_keys(path, views: Dict[str, DocView]) -> Set[EntityKey]:
         if not 0 <= k < len(view.sentences):
             raise CorpusFormatError(path, line_no, "sent_id",
                                     f"document {doc_id} has no sentence {sent_id}")
-        tokens = view.tokens[k]
+        offsets = view.offsets[k]
         start, end = _ints(path, line_no, "token offsets", t_start, t_end)
-        if not 0 <= start <= end < len(tokens):
+        if not 0 <= start <= end < len(offsets):
             raise CorpusFormatError(path, line_no, "token offsets",
                                     f"[{start},{end}] outside sentence {sent_id} "
                                     f"of document {doc_id}")
         if etype not in ENTITY_TYPES:
             raise CorpusFormatError(path, line_no, "type", f"unknown entity type {etype!r}")
         _check_prob(path, line_no, prob)
-        keys.add((doc_id, tokens[start].char_start, tokens[end].char_end, etype))
+        keys.add((doc_id, offsets[start][0], offsets[end][1], etype))
     return keys
 
 
@@ -241,10 +241,10 @@ def cmd_tokenize(args) -> int:
         lines = []
         for doc in load_corpus(args.infile):
             view = DocView.build(doc)
-            for sent, tokens in zip(view.sentences, view.tokens):
-                for t in tokens:
-                    lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{t.index}\t"
-                                 f"{t.surface}\t{t.char_start}\t{t.char_end}")
+            for sent, offsets in zip(view.sentences, view.offsets):
+                for i, (start, end) in enumerate(offsets):
+                    lines.append(f"{doc.doc_id}\t{sent.sent_id}\t{i}\t"
+                                 f"{doc.text[start:end]}\t{start}\t{end}")
         payloads.append(_lines(lines))
     print(f"wrote {len(lines)} token records to {args.out}")
     return 0

@@ -191,6 +191,7 @@ def load_corpus_with_diagnostics(
             raise CorpusFormatError(abstracts_path, line_no, "doc_id", f"duplicate {doc_id!r}")
         texts[doc_id] = (title, abstract)
     diags.line_counts[str(abstracts_path)] = len(texts)
+    doc_texts = {doc_id: join_title_abstract(*pair) for doc_id, pair in texts.items()}
 
     # entity_id -> entity per document, in file order
     entities: Dict[str, Dict[str, GoldEntity]] = {d: {} for d in texts}
@@ -204,7 +205,7 @@ def load_corpus_with_diagnostics(
                 raise CorpusFormatError(entities_path, line_no, "type",
                                         f"unknown entity type {raw_type!r}")
             start, end = _ints(entities_path, line_no, "offsets", raw_start, raw_end)
-            text = join_title_abstract(*texts[doc_id])
+            text = doc_texts[doc_id]
             if not (0 <= start < end <= len(text)):
                 raise CorpusFormatError(entities_path, line_no, "offsets",
                                         f"[{start},{end}) out of bounds for document {doc_id}")
@@ -295,7 +296,7 @@ def load_corpus_with_diagnostics(
             doc_id=doc_id,
             title=title,
             abstract=abstract,
-            text=join_title_abstract(title, abstract),
+            text=doc_texts[doc_id],
             entities=tuple(entities[doc_id].values()),
             relations=tuple(relations[doc_id]),
             sentence_boundaries=tuple(boundaries[doc_id]) if doc_id in boundaries else None,

@@ -220,7 +220,7 @@ class NerModel(EncoderModel):
         too_wide = 0
         recoverable = recoverable_entities(view) if with_labels else {}
         for k, sent in enumerate(view.sentences):
-            n = len(view.tokens[k])
+            n = len(view.offsets[k])
             if not n:
                 continue
             lo = view.sent_flat_start[k]
@@ -245,7 +245,7 @@ class NerModel(EncoderModel):
                 labels = spans.labels(gold)
             examples.append(NerExample(
                 view.doc.doc_id, sent.sent_id, WindowedInput(windows[extent], left), spans,
-                labels, [(t.char_start, t.char_end) for t in view.tokens[k]]))
+                labels, view.offsets[k]))
         return examples, too_wide
 
     # -- forward / loss ------------------------------------------------------

@@ -293,7 +293,8 @@ def gold_training_instances(model: RelationModel, docs: Sequence[Document]
 def prediction_instances(model: RelationModel, view: DocView, sent_idx: int,
                          mentions: Sequence[SpanMention]) -> List[RelationInstance]:
     """Every chemical-gene pair of one sentence's mentions, as an instance."""
-    surfaces = [t.surface for t in view.tokens[sent_idx]]
+    lo = view.sent_flat_start[sent_idx]
+    surfaces = view.flat_surfaces[lo:lo + len(view.offsets[sent_idx])]
     left, right = view.context(sent_idx)
     sent_id = view.sentences[sent_idx].sent_id
     return [model.build_instance(view.doc.doc_id, sent_id, surfaces, left, right, chem, gene)

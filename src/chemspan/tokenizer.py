@@ -8,7 +8,7 @@ what lets gold character annotations round-trip through the pipeline.
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 # The digit class is pinned to 0-9 on purpose: \d would also match Unicode
 # digits and silently change offsets. \s keeps Unicode whitespace semantics,
@@ -24,11 +24,17 @@ class Token:
     char_end: int  # exclusive
 
 
+def token_offsets(text: str, start: int = 0, end: Optional[int] = None
+                  ) -> List[Tuple[int, int]]:
+    """``(char_start, char_end)`` of each token of ``text[start:end]``, offsets into ``text``;
+    the pattern has no anchors or lookarounds, so its matches are those on the slice."""
+    return [m.span() for m in
+            TOKEN_PATTERN.finditer(text, start, len(text) if end is None else end)]
+
+
 def tokenize(text: str, start: int = 0, end: Optional[int] = None) -> List[Token]:
-    """Offset-exact, whitespace-free tokens of ``text[start:end]``, offsets into ``text``; the
-    pattern has no anchors or lookarounds, so its matches are those on the slice."""
-    matches = TOKEN_PATTERN.finditer(text, start, len(text) if end is None else end)
-    return [Token(i, m.group(), m.start(), m.end()) for i, m in enumerate(matches)]
+    """The tokens of `token_offsets` as `Token` objects, each with its surface."""
+    return [Token(i, text[s:e], s, e) for i, (s, e) in enumerate(token_offsets(text, start, end))]
 
 
 def tokenize_sentence(doc, sent) -> List[Token]:

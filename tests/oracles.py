@@ -125,6 +125,15 @@ def first_uncovered_offset(text, intervals):
     return None
 
 
+def sentence_holding(intervals, start, end):
+    """Index of the first interval holding all of [start, end), or None; a linear scan
+    over every interval, in order."""
+    for k, (lo, hi) in enumerate(intervals):
+        if lo <= start and end <= hi:
+            return k
+    return None
+
+
 # ---------------------------------------------------------------------------
 # per-sentence NER window oracle: every sentence builds and encodes its own window
 
