@@ -363,17 +363,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    docs = load_corpus_dir(args.gold)
+    views = _views_by_doc(docs)
+    pred_entities = _parse_entity_keys(args.pred_ents, views)
+    pred_relations = _parse_relation_keys(args.pred_rels, views)
+    breakdown = analyze(docs, pred_entities, pred_relations)
+    text = render_report(breakdown)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # after the inputs, so a bad one makes no directory
     categories = [category for category, _attr in CATEGORY_ITEMS]
     names = ["report.txt", "report.json"] + [f"{category}.tsv" for category in categories]
     with _writer(args, *[("--out", out / name) for name in names]) as payloads:
-        docs = load_corpus_dir(args.gold)
-        views = _views_by_doc(docs)
-        pred_entities = _parse_entity_keys(args.pred_ents, views)
-        pred_relations = _parse_relation_keys(args.pred_rels, views)
-        breakdown = analyze(docs, pred_entities, pred_relations)
-        text = render_report(breakdown)
         payloads += ([text, _json_text(breakdown.to_record())]
                      + [render_category_items(breakdown, category) for category in categories])
     print(text, end="")

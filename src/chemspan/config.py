@@ -94,10 +94,10 @@ class RelationConfig:
 
 
 # ~260 times the bound at the default sizes. Training adds one more copy, its
-# gradients, and Adam's two moments only at the rows it steps: dense for the
-# packed buffer and positions, but for the bucket table only at the hashed rows
-# until they fill half of it. Adam's two scratch arrays are the size of the
-# largest selection stepped: the packed buffer, or the whole table once it is.
+# gradients, and Adam's two moments only at the rows it steps: dense for the packed
+# buffer and positions, but for the embedding table only at the hashed and marker
+# rows until the hashed rows fill half the buckets. Adam's two scratch arrays are
+# the size of the largest selection stepped: the packed buffer, or the whole table.
 MAX_PARAMETERS = 2 ** 26
 
 _SECTIONS = {"encoder": EncoderConfig, "ner": NerConfig, "relation": RelationConfig}

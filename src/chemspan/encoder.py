@@ -1,10 +1,10 @@
 """A small trainable token encoder with hand-derived backpropagation.
 
-Surface symbols are embedded through a fixed 64-bit hash into a bucket
-table (so the vocabulary is open), marker and sequence-start symbols get
-dedicated rows that are never hashed, learned positions are added, and a
-stack of single-head self-attention + feed-forward blocks with residual
-connections and layer norm produces the contextual vectors.
+Surface symbols are embedded through a fixed 64-bit hash into the bucket
+rows of one table (so the vocabulary is open), marker and sequence-start
+symbols get its never-hashed rows after the buckets, learned positions are
+added, and a stack of single-head self-attention + feed-forward blocks with
+residual connections and layer norm produces the contextual vectors.
 
 Everything is numpy float64. Forward passes cache exactly what backward
 needs, and `grad_check` compares the analytic gradients against central
@@ -77,22 +77,30 @@ def _ln_backward(dy, xhat, inv_std, gamma):
     return dz, dgamma, dbeta
 
 
+def _table_views(table: np.ndarray) -> Params:
+    """`tok_emb` and `special_emb`: the bucket rows of an embedding table, then its marker rows."""
+    buckets = len(table) - len(SPECIAL_SYMBOLS)
+    return {"tok_emb": table[:buckets], "special_emb": table[buckets:]}
+
+
+def _table(arrays: Params) -> np.ndarray:
+    """The embedding table that the `tok_emb` and `special_emb` of parameters or gradients view."""
+    return arrays["tok_emb"].base
+
+
 class TinyEncoder:
     """Hashed embeddings + positions + attention blocks, all trainable."""
 
     def __init__(self, dim, blocks, ffn_dim, buckets, max_len, seed):
         self.dim, self.blocks, self.ffn_dim, self.buckets, self.max_len = (
             dim, blocks, ffn_dim, buckets, max_len)
-        # symbol -> row: its surface_bucket (filled by _rows), or -1 - i for SPECIAL_SYMBOLS[i]
-        self._bucket_of: Dict[str, int] = {s: -1 - i for i, s in enumerate(SPECIAL_SYMBOLS)}
-        self._bucket_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_bucket_of), its buckets)
+        # symbol -> table row: surface_bucket (filled by _rows), buckets + i for SPECIAL_SYMBOLS[i]
+        self._row_of = {s: buckets + i for i, s in enumerate(SPECIAL_SYMBOLS)}
+        self._table_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_row_of), its rows)
         self._longest = 0  # longest input forward has seen
         rng = np.random.default_rng(seed)
-        p: Params = {
-            "tok_emb": rng.normal(0.0, 0.1, (buckets, dim)),
-            "special_emb": rng.normal(0.0, 0.1, (len(SPECIAL_SYMBOLS), dim)),
-            "pos_emb": rng.normal(0.0, 0.1, (max_len, dim)),
-        }
+        table = rng.normal(0.0, 0.1, (buckets + len(SPECIAL_SYMBOLS), dim))  # = a draw per view
+        p: Params = {**_table_views(table), "pos_emb": rng.normal(0.0, 0.1, (max_len, dim))}
         w = dim ** -0.5
         for b in range(blocks):
             for name in ("wq", "wk", "wv", "wo"):
@@ -111,30 +119,28 @@ class TinyEncoder:
 
     # -- symbol lookup ------------------------------------------------------
 
-    def _rows(self, symbols: Sequence[str]):
-        """Whether each symbol has a dedicated row, and its row in its own table."""
-        bucket_of = self._bucket_of
-        for s in set(symbols).difference(bucket_of):
-            bucket_of[s] = surface_bucket(s, self.buckets)
-        codes = np.fromiter(map(bucket_of.__getitem__, symbols), np.int64, len(symbols))
-        special = codes < 0
-        return special, np.where(special, -1 - codes, codes)
+    def _rows(self, symbols: Sequence[str]) -> np.ndarray:
+        """Each symbol's row of the embedding table."""
+        for s in set(symbols).difference(self._row_of):
+            self._row_of[s] = surface_bucket(s, self.buckets)
+        return np.fromiter(map(self._row_of.__getitem__, symbols), np.int64, len(symbols))
 
     @property
     def touched_rows(self) -> Dict[str, object]:
         """The embedding rows a backward pass can have written, for `Adam.step`.
 
-        Each hashed row backward writes is the bucket of a surface `_rows`
-        hashed, and each position row is below the longest input seen. Once
-        half the buckets are hashed, gathering them costs more than stepping
-        the whole table, so the whole table is given.
+        Of the ``"table"`` that `tok_emb` and `special_emb` view, the bucket
+        of each surface `_rows` hashed and every marker row; of ``"pos_emb"``,
+        the rows below the longest input seen. Once half the buckets are
+        hashed, gathering them costs more than stepping the whole table, so
+        the whole table is given.
         """
-        if self._bucket_rows[0] != len(self._bucket_of):
-            self._bucket_rows = (len(self._bucket_of), np.unique(np.fromiter(  # specials sort first
-                self._bucket_of.values(), np.int64, len(self._bucket_of)))[len(SPECIAL_SYMBOLS):])
-        buckets = self._bucket_rows[1]
-        return {"tok_emb": buckets if 2 * len(buckets) < self.buckets else slice(None),
-                "pos_emb": slice(0, self._longest)}
+        if self._table_rows[0] != len(self._row_of):
+            self._table_rows = (len(self._row_of), np.unique(np.fromiter(
+                self._row_of.values(), np.int64, len(self._row_of))))
+        rows = self._table_rows[1]
+        whole = 2 * (len(rows) - len(SPECIAL_SYMBOLS)) >= self.buckets  # hashed rows only
+        return {"table": slice(None) if whole else rows, "pos_emb": slice(0, self._longest)}
 
     # -- forward / backward -------------------------------------------------
 
@@ -155,12 +161,9 @@ class TinyEncoder:
             return np.zeros((0, self.dim)), {"n": 0, "block": []}
         self._longest = max(self._longest, n)
         p = self.params
-        special, idx = self._rows(symbols)
-        x = np.empty((n, self.dim))
-        x[special] = p["special_emb"][idx[special]]
-        x[~special] = p["tok_emb"][idx[~special]]
+        cache = {"n": n, "idx": self._rows(symbols), "block": [], "rows": rows}
+        x = _table(p)[cache["idx"]]
         x += p["pos_emb"][:n]
-        cache = {"n": n, "special": special, "idx": idx, "block": [], "rows": rows}
         if rows is not None and not self.blocks:
             x = x[rows]
         scale = 1.0 / math.sqrt(self.dim)
@@ -196,7 +199,8 @@ class TinyEncoder:
         return self.forward(symbols, rows)[0]
 
     def zero_grads(self) -> Params:
-        return {k: np.zeros(v.shape) for k, v in self.params.items()}
+        table = _table_views(np.zeros(_table(self.params).shape))
+        return {k: table[k] if k in table else np.zeros(v.shape) for k, v in self.params.items()}
 
     def backward(self, cache, d_out: np.ndarray, grads: Params) -> None:
         """Accumulate parameter gradients for one sequence into ``grads``.
@@ -257,23 +261,20 @@ class TinyEncoder:
             else:
                 dx = dk @ p[f"b{b}.wk"].T + dv @ p[f"b{b}.wv"].T
                 np.add.at(dx, rows, dr1 + dxq)
-        special, idx = cache["special"], cache["idx"]
         grads["pos_emb"][:n] += dx
-        hashed = ~special
-        np.add.at(grads["tok_emb"], idx[hashed], dx[hashed])
-        np.add.at(grads["special_emb"], idx[special], dx[special])
+        np.add.at(_table(grads), cache["idx"], dx)
 
 
 class Adam:
     """Plain Adam over a name -> array dict, one elementwise pass per array.
 
-    An array may be a flat buffer whose views are many parameters, as
-    `EncoderModel` packs them. Each pass runs the plain expression's
-    operations in its order into two scratch arrays, sized to the largest
-    selection stepped so far, so it is bitwise that expression. ``step``'s
-    optional ``rows`` maps a name to the rows of it to step (an index array
-    or a slice), as `TinyEncoder.touched_rows` gives; other arrays are
-    stepped whole. A row left out must never have had a gradient, so that
+    An array may have many parameters as views: the flat buffer
+    `EncoderModel` packs, or `TinyEncoder`'s embedding table. Each pass runs
+    the plain expression's operations in its order into two scratch arrays,
+    sized to the largest selection stepped so far, so it is bitwise that
+    expression. ``step``'s optional ``rows`` maps a name to the rows of it to
+    step (an index array or a slice), as `TinyEncoder.touched_rows` gives;
+    other arrays are stepped whole. A row left out must never have had a gradient, so that
     its update would be exactly 0 and the step is bitwise a dense one; a row
     that has had one is stepped even when it gets none.
 
@@ -337,7 +338,7 @@ class Adam:
                     self.m[key][sel], self.v[key][sel] = m, v
 
 
-LOOSE = ("tok_emb", "pos_emb")  # stepped at their touched rows; every other array is packed
+LOOSE = ("tok_emb", "special_emb", "pos_emb")  # stepped at touched rows; the rest is packed
 
 
 def _views(flat: np.ndarray, shapes: Dict[str, tuple]) -> Params:
@@ -355,8 +356,8 @@ class EncoderModel:
     Subclasses build ``head`` (name -> array) in ``_build_head`` and define
     ``loss_and_grads(batch)``, returning the batch's mean loss and a
     gradient dict from ``zero_grads()``. Once the head is built, every
-    parameter but the `LOOSE` embedding tables becomes a view of one flat
-    buffer, which Adam steps in one pass; no array is rebound after that.
+    parameter but the `LOOSE` embeddings becomes a view of one flat buffer,
+    which Adam steps in one pass; no array is rebound after that.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None, seed: int = 0):
@@ -383,14 +384,16 @@ class EncoderModel:
         return merged
 
     def zero_grads(self) -> Params:
-        """New zero gradients shaped like ``parameters()``, packed in a new buffer of their own."""
-        packed = _views(np.zeros(self._flat.size), self._shapes)
+        """New zero gradients shaped like ``parameters()``, in a buffer and table of their own."""
+        packed = {**_views(np.zeros(self._flat.size), self._shapes),
+                  **_table_views(np.zeros(_table(self.encoder.params).shape))}
         return {k: packed[k] if k in packed else np.zeros(v.shape)
                 for k, v in self.parameters().items()}
 
     def _segments(self, arrays: Params) -> Params:
         """Parameters or gradients as Adam steps them: the packed buffer, then the tables."""
-        return {"packed": arrays[next(iter(self._shapes))].base, **{k: arrays[k] for k in LOOSE}}
+        return {"packed": arrays[next(iter(self._shapes))].base, "table": _table(arrays),
+                "pos_emb": arrays["pos_emb"]}
 
     @QUIET_FLOATS
     def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,

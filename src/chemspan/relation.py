@@ -173,10 +173,6 @@ class RelationModel(EncoderModel):
 
     # -- representation -------------------------------------------------------
 
-    def _segment_positions(self, instance: RelationInstance) -> List[Sequence[int]]:
-        """Symbol positions each pooled piece averages, in the variant's order."""
-        return [instance.rows[piece] for piece in instance.pieces]
-
     def build_representation(self, h: np.ndarray, instance: RelationInstance,
                              rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """Concatenate the pooled pieces the configured variant asks for.

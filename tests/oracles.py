@@ -247,10 +247,7 @@ def forward_all_rows(encoder, symbols):
     """
     n = len(symbols)
     p = encoder.params
-    special, idx = encoder._rows(symbols)
-    x = np.empty((n, encoder.dim))
-    x[special] = p["special_emb"][idx[special]]
-    x[~special] = p["tok_emb"][idx[~special]]
+    x = np.concatenate([p["tok_emb"], p["special_emb"]])[encoder._rows(symbols)]
     x = x + p["pos_emb"][:n]
     scale = 1.0 / math.sqrt(encoder.dim)
     for b in range(encoder.blocks):
@@ -381,7 +378,7 @@ def re_loss_and_grads_every_row(model, batch):
         grads["re.b1"] += du
         drep = head["re.w1"] @ du
         dh = np.zeros_like(h)
-        for k, pos in enumerate(model._segment_positions(inst)):
+        for k, pos in enumerate([inst.rows[piece] for piece in inst.pieces]):
             for p in pos:
                 dh[p] += drep[k * d:(k + 1) * d] / len(pos)
         model.encoder.backward(cache, dh, grads)
@@ -399,7 +396,7 @@ def classify_pooled_by_mean(model, instance):
     relation prediction encodes it; the head's two layers and softmax are
     written out.
     """
-    segments = model._segment_positions(instance)
+    segments = [instance.rows[piece] for piece in instance.pieces]
     rows = sorted(set().union(*segments))
     h = model.encoder.encode(instance.symbols, rows)
     rep = np.concatenate([h[[rows.index(p) for p in pos]].mean(axis=0) if len(pos)

@@ -324,6 +324,19 @@ def test_missing_gold_directory_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_failed_analyze_leaves_no_directory_it_made(tmp_path, capsys):
+    (tmp_path / "kept").mkdir()
+    for out in ("outdir/sub", "kept/new"):
+        rc = main(["analyze", "--gold", str(tmp_path / "nonexistent"),
+                   "--pred-ents", str(tmp_path / "ents.tsv"), "--pred-rels",
+                   str(tmp_path / "rels.tsv"), "--out", str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # model persistence wrappers
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemspan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from chemspan.config import PipelineConfig
 from chemspan.encoder import (
     SPECIAL_SYMBOLS,
     Adam,
@@ -14,6 +15,7 @@ from chemspan.encoder import (
     surface_bucket,
 )
 from chemspan.errors import NonFiniteError, OverLengthError
+from chemspan.ner import NerModel
 
 from oracles import central_difference
 
@@ -75,6 +77,27 @@ def test_marker_symbols_use_dedicated_rows():
     enc2.params["special_emb"][:] = 0.0
     h2 = enc2.encode([SPECIAL_SYMBOLS[1]])
     assert not np.allclose(h, h2)
+
+
+def test_bucket_and_marker_rows_are_one_table_drawn_as_before():
+    enc = TinyEncoder(**dict(TINY, blocks=0), seed=3)
+    buckets, markers = TINY["buckets"], len(SPECIAL_SYMBOLS)
+    table = enc.params["tok_emb"].base
+    assert table is not None and table.shape == (buckets + markers, TINY["dim"])
+    assert enc.params["special_emb"].base is table
+    assert np.shares_memory(enc.params["tok_emb"], table[:buckets])
+    assert np.shares_memory(enc.params["special_emb"], table[buckets:])
+    for grads in (enc.zero_grads(), NerModel(PipelineConfig(), seed=0).zero_grads()):
+        assert grads["special_emb"].base is grads["tok_emb"].base
+        assert len(grads["tok_emb"].base) == len(grads["tok_emb"]) + markers
+    # without blocks, the output is the symbol's table row plus its position
+    for i, marker in enumerate(SPECIAL_SYMBOLS):
+        np.testing.assert_array_equal(enc.encode([marker])[0], table[buckets + i]
+                                      + enc.params["pos_emb"][0])
+    rng = np.random.default_rng(3)
+    for name, rows in (("tok_emb", buckets), ("special_emb", markers),
+                       ("pos_emb", TINY["max_len"])):
+        np.testing.assert_array_equal(enc.params[name], rng.normal(0.0, 0.1, (rows, TINY["dim"])))
 
 
 def test_unknown_surfaces_are_accepted():

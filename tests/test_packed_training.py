@@ -147,7 +147,7 @@ def test_a_parameter_left_non_finite_is_named_in_parameter_order(poisoned, named
     def loss_and_grads(batch):
         loss, grads = real(batch)
         for key in poisoned:  # a finite loss, a NaN gradient in a row Adam steps
-            row = model.encoder.touched_rows["tok_emb"][0] if key == "tok_emb" else 0
+            row = model.encoder.touched_rows["table"][0] if key == "tok_emb" else 0
             grads[key][row] = np.nan
         return loss, grads
 

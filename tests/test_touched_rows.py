@@ -7,7 +7,7 @@ import pytest
 
 import chemspan.encoder
 from chemspan.config import NerConfig, PipelineConfig, RelationConfig
-from chemspan.encoder import Adam, TinyEncoder, surface_bucket
+from chemspan.encoder import SPECIAL_SYMBOLS, Adam, TinyEncoder, surface_bucket
 from chemspan.microcorpus import load_micro_corpus
 from chemspan.ner import NerModel, train_ner
 from chemspan.relation import RelationModel, gold_training_instances, train_re
@@ -16,6 +16,7 @@ from oracles import DenseAdam
 
 BUCKETS = 16
 STEPS = 30
+MARKER_ROWS = BUCKETS + np.arange(len(SPECIAL_SYMBOLS))
 
 
 def colliding_surfaces():
@@ -46,7 +47,20 @@ SCHEDULES = {
                                  ["seen"] if t >= 7 else []),
     # the table turns whole after several steps at its rows
     "table-fills-late": lambda t: (["w0", "w1"] if t < 5 else [f"w{i}" for i in range(12)], []),
+    # marker rows get a gradient at some steps only, one marker never
+    "markers-now-and-then": lambda t: (
+        [SPECIAL_SYMBOLS[0], "Na", SPECIAL_SYMBOLS[1 + t % 3], "+"] if t % 4 == 0 else ["Na", "+"],
+        []),
 }
+
+
+def segments(arrays):
+    """Parameters or gradients as training steps them: the embedding table that
+    ``tok_emb`` and ``special_emb`` view as one array, every other array by name."""
+    table = arrays["tok_emb"].base
+    assert table is not None and table is arrays["special_emb"].base
+    return {"table": table, **{k: v for k, v in arrays.items()
+                               if k not in ("tok_emb", "special_emb")}}
 
 
 def assert_moments_equal(opt, ref, key):
@@ -69,8 +83,9 @@ def test_touched_row_adam_equals_dense_adam_every_step(schedule):
     assert distinct_buckets(["w0", "w1"])
     enc = TinyEncoder(dim=4, blocks=1, ffn_dim=8, buckets=BUCKETS, max_len=15, seed=0)
     initial = {k: v.copy() for k, v in enc.params.items()}
-    opt = Adam(enc.params, lr=0.05)
-    ref = DenseAdam({k: v.copy() for k, v in enc.params.items()}, lr=0.05)
+    params = segments(enc.params)
+    opt = Adam(params, lr=0.05)
+    ref = DenseAdam({k: v.copy() for k, v in params.items()}, lr=0.05)
     rng = np.random.default_rng(0)
     history, held = [], []
     for t in range(STEPS):
@@ -79,34 +94,42 @@ def test_touched_row_adam_equals_dense_adam_every_step(schedule):
         _, cache = enc.forward(trained)
         grads = enc.zero_grads()
         enc.backward(cache, rng.normal(0.0, 1.0, (len(trained), enc.dim)), grads)
-        opt.step(grads, enc.touched_rows)
-        ref.step(grads)
-        for key in enc.params:
-            np.testing.assert_array_equal(enc.params[key], ref.params[key], err_msg=key)
+        opt.step(segments(grads), enc.touched_rows)
+        ref.step(segments(grads))
+        for key in params:
+            np.testing.assert_array_equal(params[key], ref.params[key], err_msg=key)
             assert_moments_equal(opt, ref, key)
-        history.append(enc.params["tok_emb"].copy())
-        held.append(opt.held["tok_emb"])
+        history.append(params["table"].copy())
+        held.append(opt.held["table"])
 
-    tok_rows = enc.touched_rows["tok_emb"]
+    table_rows = enc.touched_rows["table"]
     assert opt.held["pos_emb"] is None
     if schedule in ("most-buckets-hashed", "table-fills-late"):
-        assert tok_rows == slice(None) and held[-1] is None
-    else:
-        assert isinstance(tok_rows, np.ndarray) and len(tok_rows) < BUCKETS
-        np.testing.assert_array_equal(held[-1], tok_rows)
+        assert table_rows == slice(None) and held[-1] is None
+    else:  # the hashed rows, under half the buckets, then every marker row
+        hashed = len(table_rows) - len(MARKER_ROWS)
+        assert isinstance(table_rows, np.ndarray) and 2 * hashed < BUCKETS
+        np.testing.assert_array_equal(table_rows[hashed:], MARKER_ROWS)
+        np.testing.assert_array_equal(held[-1], table_rows)
     if schedule == "rows-join-late":
-        assert [len(held[t]) for t in (3, 4, 7, 10)] == [2, 3, 4, 6]
+        assert [len(held[t]) for t in (3, 4, 7, 10)] == [7, 8, 9, 11]
     if schedule == "table-fills-late":
-        assert len(held[4]) == 2 and held[5] is None
+        assert len(held[4]) == 7 and held[5] is None
     if schedule == "gradient-only-at-step-1":
         row = surface_bucket("once", BUCKETS)
         assert not np.array_equal(history[1][row], history[-1][row])  # m and v still decay
     if schedule == "row-never-gets-one":
         row = surface_bucket("seen", BUCKETS)
-        assert row in tok_rows
+        assert row in table_rows
         np.testing.assert_array_equal(enc.params["tok_emb"][row], initial["tok_emb"][row])
-        at = list(opt.held["tok_emb"]).index(row)
-        assert not opt.m["tok_emb"][at].any() and not opt.v["tok_emb"][at].any()
+        at = list(opt.held["table"]).index(row)
+        assert not opt.m["table"][at].any() and not opt.v["table"][at].any()
+    if schedule == "markers-now-and-then":
+        stepped, never = MARKER_ROWS[:4], MARKER_ROWS[4]
+        assert not (history[-1][stepped] == initial["special_emb"][:4]).any()
+        np.testing.assert_array_equal(history[-1][never], initial["special_emb"][4])
+        at = list(opt.held["table"]).index(never)
+        assert not opt.m["table"][at].any() and not opt.v["table"][at].any()
     if schedule == "positions-grow":
         assert enc.touched_rows["pos_emb"] == slice(0, 15)
 
@@ -138,8 +161,8 @@ def train_three_epochs(task, seed):
 @pytest.mark.parametrize("task", ["ner", "re"])
 def test_training_equals_training_with_dense_adam(task, seed, monkeypatch):
     model, curve = train_three_epochs(task, seed)
-    tok_rows = model.encoder.touched_rows["tok_emb"]
-    assert isinstance(tok_rows, np.ndarray) and len(tok_rows) < model.encoder.buckets
+    table_rows = model.encoder.touched_rows["table"]
+    assert isinstance(table_rows, np.ndarray) and len(table_rows) < model.encoder.buckets
     monkeypatch.setattr(chemspan.encoder, "Adam", DenseAdam)
     reference, want_curve = train_three_epochs(task, seed)
     assert curve == want_curve

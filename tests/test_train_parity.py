@@ -13,6 +13,7 @@ _SPEC = importlib.util.spec_from_file_location(
     "train_parity", Path(__file__).resolve().parent.parent / "tools" / "train_parity.py")
 train_parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(train_parity)
+MICRO = Path(__file__).resolve().parent.parent / "src" / "chemspan" / "data" / "micro"
 
 
 def task(curve, **params):
@@ -133,7 +134,9 @@ def test_output_digests_cover_files_directories_and_missing_outputs(tmp_path):
 
 
 def test_every_file_a_cli_run_reads_was_written_by_an_earlier_run():
-    written = {"micro", "short.json"}
+    # before the first run: the copied micro corpus, each file it ships, and short.json
+    written = {"micro", "short.json", *(f"micro/{path.name}" for path in MICRO.iterdir())}
+    assert "micro/abstracts.tsv" in written and "micro/missing.tsv" not in written
     for name, arguments, outputs in train_parity.CLI_RUNS:
         read = {value for option, value in zip(arguments, arguments[1:])
                 if option.startswith("--") and not option.startswith("--out")

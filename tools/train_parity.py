@@ -12,11 +12,12 @@ training, traced from after the model and its items are built, and the
 bucket table's bytes; these figures are reported, never compared. Then, in a
 temporary directory holding a copy of the micro corpus and with
 ``PYTHONHASHSEED=0``, the CLI runs the commands of ``CLI_RUNS``:
-``train-ner`` and ``train-re`` write their seed-1 checkpoints, every
-predict command, ``align-stats``, ``score`` and ``analyze`` read them, and
-two trainings stop on a sentence over ``max_len``. Each run keeps its exit
-code and the sha256 of its stdout, its stderr and every file it writes;
-every path is relative to the temporary directory, so no output names it.
+``tokenize`` reads the copied abstracts, ``train-ner`` and ``train-re``
+write their seed-1 checkpoints, every predict command, ``align-stats``,
+``score`` and ``analyze`` read them, and two trainings stop on a sentence
+over ``max_len``. Each run keeps its exit code and the sha256 of its
+stdout, its stderr and every file it writes; every path is relative to the
+temporary directory, so no output names it.
 
 A seed's verdict is ``bitwise`` when both curves are ``==`` and every array
 digest is equal; the checkpoints' verdict is equality of both digests, and
@@ -88,6 +89,8 @@ SHORT_CONFIG = {"encoder": {"max_len": 4}}
 
 # name, CLI arguments and the files or directories it writes, in run order
 CLI_RUNS = (
+    ("tokenize", ["tokenize", "--in", "micro/abstracts.tsv", "--out", "tokens.tsv"],
+     ["tokens.tsv"]),
     *((f"train-{task}", [f"train-{task}", "--corpus", "micro", "--seed", str(CHECKPOINT_SEED),
                          "--out", f"{task}.ckpt"], [f"{task}.ckpt"]) for task in TASKS),
     ("predict-ner", ["predict-ner", "--ckpt", "ner.ckpt", "--corpus", "micro",
