@@ -96,8 +96,6 @@ class TinyEncoder:
             dim, blocks, ffn_dim, buckets, max_len)
         # symbol -> table row: surface_bucket (filled by _rows), buckets + i for SPECIAL_SYMBOLS[i]
         self._row_of = {s: buckets + i for i, s in enumerate(SPECIAL_SYMBOLS)}
-        self._table_rows = (0, np.zeros(0, dtype=np.int64))  # (len(_row_of), its rows)
-        self._longest = 0  # longest input forward has seen
         rng = np.random.default_rng(seed)
         table = rng.normal(0.0, 0.1, (buckets + len(SPECIAL_SYMBOLS), dim))  # = a draw per view
         p: Params = {**_table_views(table), "pos_emb": rng.normal(0.0, 0.1, (max_len, dim))}
@@ -125,22 +123,18 @@ class TinyEncoder:
             self._row_of[s] = surface_bucket(s, self.buckets)
         return np.fromiter(map(self._row_of.__getitem__, symbols), np.int64, len(symbols))
 
-    @property
-    def touched_rows(self) -> Dict[str, object]:
-        """The embedding rows a backward pass can have written, for `Adam.step`.
+    def touched_rows(self, inputs: Sequence[Sequence[str]]) -> Dict[str, object]:
+        """The embedding rows backward passes over ``inputs`` can write, for `Adam`.
 
-        Of the ``"table"`` that `tok_emb` and `special_emb` view, the bucket
-        of each surface `_rows` hashed and every marker row; of ``"pos_emb"``,
-        the rows below the longest input seen. Once half the buckets are
-        hashed, gathering them costs more than stepping the whole table, so
-        the whole table is given.
+        Of the ``"table"`` that `tok_emb` and `special_emb` view, the sorted
+        rows of the inputs' symbols; of ``"pos_emb"``, the rows below the
+        longest input. Once the hashed rows fill half the buckets, gathering
+        them costs more than stepping the whole table, so the whole table is given.
         """
-        if self._table_rows[0] != len(self._row_of):
-            self._table_rows = (len(self._row_of), np.unique(np.fromiter(
-                self._row_of.values(), np.int64, len(self._row_of))))
-        rows = self._table_rows[1]
-        whole = 2 * (len(rows) - len(SPECIAL_SYMBOLS)) >= self.buckets  # hashed rows only
-        return {"table": slice(None) if whole else rows, "pos_emb": slice(0, self._longest)}
+        rows = np.unique(self._rows(list(set().union(*inputs))))
+        whole = 2 * np.count_nonzero(rows < self.buckets) >= self.buckets  # hashed rows only
+        return {"table": slice(None) if whole else rows,
+                "pos_emb": slice(0, max(map(len, inputs), default=0))}
 
     # -- forward / backward -------------------------------------------------
 
@@ -159,7 +153,6 @@ class TinyEncoder:
                 "shrink the context window")
         if n == 0:
             return np.zeros((0, self.dim)), {"n": 0, "block": []}
-        self._longest = max(self._longest, n)
         p = self.params
         cache = {"n": n, "idx": self._rows(symbols), "block": [], "rows": rows}
         x = _table(p)[cache["idx"]]
@@ -269,61 +262,35 @@ class Adam:
     """Plain Adam over a name -> array dict, one elementwise pass per array.
 
     An array may have many parameters as views: the flat buffer
-    `EncoderModel` packs, or `TinyEncoder`'s embedding table. Each pass runs
-    the plain expression's operations in its order into two scratch arrays,
-    sized to the largest selection stepped so far, so it is bitwise that
-    expression. ``step``'s optional ``rows`` maps a name to the rows of it to
-    step (an index array or a slice), as `TinyEncoder.touched_rows` gives;
-    other arrays are stepped whole. A row left out must never have had a gradient, so that
-    its update would be exactly 0 and the step is bitwise a dense one; a row
-    that has had one is stepped even when it gets none.
-
-    ``m`` and ``v`` hold no row before an array's first step. An array
-    stepped at index arrays keeps them only at the rows in ``held[name]``,
-    in that order: rows that join start at zero, and a selection that leaves
-    out a held row raises ValueError. A slice makes them dense, every held
-    value kept, and ``held[name]`` None.
+    `EncoderModel` packs, or `TinyEncoder`'s embedding table. ``rows`` maps
+    a name to the rows of it to step (an index array or a slice), as
+    `TinyEncoder.touched_rows` gives; other arrays are stepped whole. Each
+    array's ``m``, ``v`` and two scratch arrays are made once, at exactly the
+    rows it steps, and each pass runs the plain expression's operations in
+    its order into the scratch arrays, so it is bitwise that expression. A
+    row left out must never get a gradient, so that its update would be
+    exactly 0 and every step is bitwise a dense one; a row stepped before
+    its first gradient, with zero moments, stays bitwise unchanged.
     """
 
-    def __init__(self, params: Params, lr: float):
+    def __init__(self, params: Params, lr: float, rows: Optional[Dict[str, object]] = None):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.held = {k: np.zeros(0, np.int64) for k in params}
-        self.m = {k: np.zeros((0,) + v.shape[1:]) for k, v in params.items()}
-        self.v = {k: np.zeros((0,) + v.shape[1:]) for k, v in params.items()}
-        self._scratch = np.empty(0), np.empty(0)
+        self.rows = {k: (rows or {}).get(k, slice(None)) for k in params}
+        self.m, self.v, self._scratch = {}, {}, {}
+        for k, p in params.items():
+            shape = p[self.rows[k]].shape
+            self.m[k], self.v[k] = np.zeros(shape), np.zeros(shape)
+            self._scratch[k] = np.empty(shape), np.empty(shape)
 
-    def _moments(self, key: str, sel):
-        """``m`` and ``v`` of ``key`` at ``sel``: the store itself when it holds exactly ``sel``."""
-        held, m, v = self.held[key], self.m[key], self.v[key]
-        if held is not None and isinstance(sel, slice):  # turn dense, keeping the held rows
-            self.held[key] = None
-            self.m[key], self.v[key] = (np.zeros(self.params[key].shape) for _ in "mv")
-            self.m[key][held], self.v[key][held] = m, v
-        elif held is not None and not np.array_equal(sel, held):  # lay the store out at sel
-            common, at, was = np.intersect1d(sel, held, assume_unique=True, return_indices=True)
-            if len(common) < len(held):
-                raise ValueError(f"Adam.step: rows of {key} that hold moments were left out")
-            self.held[key] = np.array(sel)
-            self.m[key], self.v[key] = (np.zeros((len(sel),) + m.shape[1:]) for _ in "mv")
-            self.m[key][at], self.v[key][at] = m[was], v[was]
-        if self.held[key] is None:
-            return self.m[key][sel], self.v[key][sel]
-        return self.m[key], self.v[key]
-
-    def step(self, grads: Params, rows: Optional[Dict[str, object]] = None) -> None:
+    def step(self, grads: Params) -> None:
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
-        rows = rows or {}
         for key, p_all in self.params.items():
-            sel = rows.get(key, slice(None))
-            m, v = self._moments(key, sel)
+            sel, m, v, (a, b) = self.rows[key], self.m[key], self.v[key], self._scratch[key]
             p, g = p_all[sel], grads[key][sel]
-            if self._scratch[0].size < g.size:
-                self._scratch = np.empty(g.size), np.empty(g.size)
-            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
             # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), products' operands swapped
             m *= _BETA1
@@ -332,10 +299,8 @@ class Adam:
             v += np.multiply(np.multiply(g, 1.0 - _BETA2, out=a), g, out=a)
             np.add(np.sqrt(np.divide(v, b2c, out=a), out=a), _ADAM_EPS, out=a)
             p -= np.divide(np.multiply(np.divide(m, b1c, out=b), self.lr, out=b), a, out=b)
-            if not isinstance(sel, slice):  # an index array gathered copies
+            if not isinstance(sel, slice):  # an index array gathered a copy
                 p_all[sel] = p
-                if self.held[key] is None:
-                    self.m[key][sel], self.v[key][sel] = m, v
 
 
 LOOSE = ("tok_emb", "special_emb", "pos_emb")  # stepped at touched rows; the rest is packed
@@ -396,10 +361,14 @@ class EncoderModel:
                 "pos_emb": arrays["pos_emb"]}
 
     @QUIET_FLOATS
-    def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings,
-            seed: int, key: Optional[Callable[[object], Hashable]] = None) -> List[float]:
+    def fit(self, labeled: Sequence, weight: Callable[[Sequence], int], settings, seed: int,
+            inputs: Callable[[object], Sequence[str]],
+            key: Optional[Callable[[object], Hashable]] = None) -> List[float]:
         """Adam over seeded batches of grouped items; returns the per-epoch mean loss.
 
+        ``inputs(item)`` names every symbol ``loss_and_grads`` encodes for the
+        item; Adam steps the embedding rows of those symbols only, chosen once
+        by `TinyEncoder.touched_rows` before the first batch.
         Items with equal ``key(item)`` form a group; without ``key`` each item
         is its own. Each epoch orders the groups at random and cuts their items,
         each group's in ``labeled`` order, into ``batch_size`` batches.
@@ -418,7 +387,8 @@ class EncoderModel:
             by_key.setdefault(i if key is None else key(item), []).append(i)
         groups = list(by_key.values())
         segments = self._segments(self.parameters())
-        opt = Adam(segments, lr=settings.lr)
+        opt = Adam(segments, lr=settings.lr,
+                   rows=self.encoder.touched_rows([inputs(item) for item in labeled]))
         rng = np.random.default_rng(seed)
         curve = []
         for epoch in range(settings.epochs):
@@ -435,7 +405,7 @@ class EncoderModel:
                 n = weight(batch)
                 epoch_loss += loss * n
                 total += n
-                opt.step(self._segments(grads), self.encoder.touched_rows)
+                opt.step(self._segments(grads))
                 del grads  # so that the next batch's gradients are the only set held
             curve.append(epoch_loss / max(total, 1))
         if not all(np.isfinite(segment).all() for segment in segments.values()):

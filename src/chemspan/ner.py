@@ -10,6 +10,7 @@ and the relation stage depends on them.
 import logging
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,17 +98,8 @@ def split_context(left_supply: int, right_supply: int, budget: int) -> Tuple[int
     """
     if budget <= 0:
         return 0, 0
-    left_budget = budget // 2
-    right_budget = budget - left_budget
-    left = min(left_supply, left_budget)
-    right = min(right_supply, right_budget)
-    spare = budget - left - right
-    if spare > 0:
-        extra_right = min(spare, right_supply - right)
-        right += extra_right
-        spare -= extra_right
-        left += min(spare, left_supply - left)
-    return left, right
+    left = min(left_supply, max(budget // 2, budget - right_supply))
+    return left, min(right_supply, budget - left)
 
 
 class Window(tuple):
@@ -354,5 +346,6 @@ def train_ner(model: NerModel, examples: Sequence[NerExample], seed: int = 0) ->
     Sentences that share a window are batched together: at most windows + batches - 1 passes.
     """
     labeled = [ex for ex in examples if ex.labels is not None]
+    window = attrgetter("windowed.symbols")  # what an example encodes, and its group
     return model.fit(labeled, lambda batch: sum(len(ex.candidates) for ex in batch),
-                     model.config.ner, seed, key=lambda ex: ex.windowed.symbols)
+                     model.config.ner, seed, inputs=window, key=window)

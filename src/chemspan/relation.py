@@ -301,7 +301,7 @@ def train_re(model: RelationModel, instances: Sequence[RelationInstance],
              seed: int = 0) -> List[float]:
     """Adam training over labeled instances; returns per-epoch mean loss."""
     labeled = [inst for inst in instances if inst.label is not None]
-    return model.fit(labeled, len, model.config.relation, seed)
+    return model.fit(labeled, len, model.config.relation, seed, inputs=lambda inst: inst.symbols)
 
 
 @dataclass(frozen=True)

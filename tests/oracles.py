@@ -92,6 +92,16 @@ def pairwise_prf(gold_items, pred_items):
 
 
 # ---------------------------------------------------------------------------
+# context split oracle: every (left, right) pair the supplies and budget allow
+
+def brute_force_split(left_supply, right_supply, budget):
+    """The split that uses most of the budget, then has left nearest budget // 2."""
+    pairs = [(left, right) for left in range(left_supply + 1)
+             for right in range(right_supply + 1) if left + right <= max(budget, 0)]
+    return min(pairs, key=lambda pair: (-(pair[0] + pair[1]), abs(pair[0] - budget // 2)))
+
+
+# ---------------------------------------------------------------------------
 # finite-difference oracle for gradients
 
 def central_difference(loss_fn, array, index, epsilon):
@@ -204,19 +214,20 @@ def unshared_windows(examples):
 class DenseAdam:
     """Adam that steps every entry of every parameter array on every step.
 
-    ``step`` accepts the rows argument of the real optimizer and ignores it,
-    so the oracle can stand in for it inside training. The arithmetic is the
-    same per entry and in the same order, so agreement is bitwise.
+    The constructor accepts the ``rows`` argument of the real optimizer and
+    ignores it, so the oracle can stand in for it inside training. The
+    arithmetic is the same per entry and in the same order, so agreement is
+    bitwise.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, rows=None, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {key: np.zeros(value.shape) for key, value in params.items()}
         self.v = {key: np.zeros(value.shape) for key, value in params.items()}
 
-    def step(self, grads, rows=None):
+    def step(self, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t

@@ -110,7 +110,8 @@ class RecordingModel(EncoderModel):
 def test_groups_keep_their_items_in_order_and_are_permuted_by_the_seed():
     model = RecordingModel()
     items = list(range(11))
-    model.fit(items, len, Settings(batch_size=4), seed=9, key=lambda item: item // 3)
+    model.fit(items, len, Settings(batch_size=4), seed=9, inputs=lambda item: (),
+              key=lambda item: item // 3)
     groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
     rng = np.random.default_rng(9)
     for epoch in model.epochs(4):
@@ -120,7 +121,8 @@ def test_groups_keep_their_items_in_order_and_are_permuted_by_the_seed():
 @pytest.mark.parametrize("n, batch_size", [(1, 16), (23, 4), (40, 16)])
 def test_ungrouped_items_are_drawn_in_the_seeded_permutation(n, batch_size):
     model = RecordingModel()
-    model.fit(list(range(n)), len, Settings(batch_size=batch_size), seed=17)
+    model.fit(list(range(n)), len, Settings(batch_size=batch_size), seed=17,
+              inputs=lambda item: ())
     rng = np.random.default_rng(17)
     assert model.epochs(batch_size) == [rng.permutation(n).tolist() for _ in range(EPOCHS)]
 

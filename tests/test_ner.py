@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemspan.config import EncoderConfig, NerConfig, PipelineConfig, RelationConfig
 from chemspan.corpus import Document, GoldEntity
@@ -22,7 +24,7 @@ from chemspan.ner import (
     train_ner,
 )
 
-from oracles import brute_force_spans
+from oracles import brute_force_spans, brute_force_split
 
 
 def small_config(**ner_overrides):
@@ -105,6 +107,13 @@ def test_odd_budget_gives_the_extra_token_to_the_right():
 def test_unused_budget_spills_to_the_supplied_side():
     assert split_context(2, 100, 10) == (2, 8)
     assert split_context(100, 2, 10) == (8, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 39), st.integers(0, 39), st.integers(-3, 89))
+def test_split_uses_most_budget_then_splits_it_nearest_even(left_supply, right_supply, budget):
+    assert split_context(left_supply, right_supply, budget) == brute_force_split(
+        left_supply, right_supply, budget)
 
 
 def test_context_shrinks_to_respect_max_len():
