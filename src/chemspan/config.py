@@ -94,10 +94,10 @@ class RelationConfig:
 
 
 # ~260 times the bound at the default sizes. Training adds one more copy, its
-# gradients, and Adam's two moments and two scratch arrays, made once at the rows it
-# steps: the packed buffer, the positions below the longest input, and the rows of
-# the embedding table that the inputs' symbols use, or all of it once their hashed
-# rows fill half the buckets.
+# gradients, and Adam's two moments, made once at the rows it steps: the packed
+# buffer, the positions below the longest input, and the rows of the embedding table
+# that the inputs' symbols use, or all of it once their hashed rows fill half the
+# buckets. Adam's two scratch arrays are the size of the largest of those selections.
 MAX_PARAMETERS = 2 ** 26
 
 _SECTIONS = {"encoder": EncoderConfig, "ner": NerConfig, "relation": RelationConfig}

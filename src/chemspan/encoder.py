@@ -265,12 +265,13 @@ class Adam:
     `EncoderModel` packs, or `TinyEncoder`'s embedding table. ``rows`` maps
     a name to the rows of it to step (an index array or a slice), as
     `TinyEncoder.touched_rows` gives; other arrays are stepped whole. Each
-    array's ``m``, ``v`` and two scratch arrays are made once, at exactly the
-    rows it steps, and each pass runs the plain expression's operations in
-    its order into the scratch arrays, so it is bitwise that expression. A
-    row left out must never get a gradient, so that its update would be
-    exactly 0 and every step is bitwise a dense one; a row stepped before
-    its first gradient, with zero moments, stays bitwise unchanged.
+    array's ``m`` and ``v`` are made once, at exactly the rows it steps, and
+    two scratch arrays once, at the largest of those selections. Each pass
+    runs the plain expression's operations in its order into the scratch
+    arrays, so it is bitwise that expression. A row left out must never get
+    a gradient, so that its update would be exactly 0 and every step is
+    bitwise a dense one; a row stepped before its first gradient, with zero
+    moments, stays bitwise unchanged.
     """
 
     def __init__(self, params: Params, lr: float, rows: Optional[Dict[str, object]] = None):
@@ -278,19 +279,19 @@ class Adam:
         self.lr = lr
         self.t = 0
         self.rows = {k: (rows or {}).get(k, slice(None)) for k in params}
-        self.m, self.v, self._scratch = {}, {}, {}
-        for k, p in params.items():
-            shape = p[self.rows[k]].shape
-            self.m[k], self.v[k] = np.zeros(shape), np.zeros(shape)
-            self._scratch[k] = np.empty(shape), np.empty(shape)
+        self.m = {k: np.zeros(p[self.rows[k]].shape) for k, p in params.items()}
+        self.v = {k: np.zeros(m.shape) for k, m in self.m.items()}
+        size = max((m.size for m in self.m.values()), default=0)
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, grads: Params) -> None:
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
         for key, p_all in self.params.items():
-            sel, m, v, (a, b) = self.rows[key], self.m[key], self.v[key], self._scratch[key]
+            sel, m, v = self.rows[key], self.m[key], self.v[key]
             p, g = p_all[sel], grads[key][sel]
+            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
             # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), products' operands swapped
             m *= _BETA1
@@ -406,7 +407,7 @@ class EncoderModel:
                 epoch_loss += loss * n
                 total += n
                 opt.step(self._segments(grads))
-                del grads  # so that the next batch's gradients are the only set held
+                del grads  # so that the next batch's gradients are the only set kept
             curve.append(epoch_loss / max(total, 1))
         if not all(np.isfinite(segment).all() for segment in segments.values()):
             name = next(k for k, v in self.parameters().items() if not np.isfinite(v).all())
